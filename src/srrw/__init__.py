@@ -95,13 +95,11 @@ from .estimators import (
     point_mass_curve,
     mc_point_mass,
     mc_histogram,
-    mc_max_mass,
     ball_curve,
     mc_ball,
     mc_escape_rate,
     DecayFit,
     rate_fit,
-    decay_fit_from_counts,
     IsolatedTail,
     isolated_tail_check,
     class_function_decay,
@@ -135,9 +133,9 @@ __all__ = [
     "psi", "bottleneck", "iso_profile", "psi_profile",
     "transition_via_evolving_sets", "set_tree", "reverse_kernels",
     "Estimate", "binomial_estimate", "mean_estimate", "wilson_interval",
-    "point_mass_curve", "mc_point_mass", "mc_histogram", "mc_max_mass",
+    "point_mass_curve", "mc_point_mass", "mc_histogram",
     "ball_curve", "mc_ball", "mc_escape_rate",
-    "DecayFit", "rate_fit", "decay_fit_from_counts",
+    "DecayFit", "rate_fit",
     "IsolatedTail", "isolated_tail_check", "class_function_decay",
     "config_hash", "csv_bytes", "parse_csv", "json_bytes",
     "CriterionResult", "run_suites", "SUITES",

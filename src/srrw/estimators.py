@@ -24,7 +24,7 @@ from .forest import grow, assign_and_assemble, isolated_counts_batch
 from .groups import (CycleZL, EuclideanRd, IntegerLatticeZd, LamplighterZ,
                      RegularTreeFree, S3xZ, Z2)
 from .sampler import ErwRotation, Identity, SrrwConfig, sample_walk
-from .stats import Estimate, binomial_estimate, mean_estimate
+from .stats import Z95, Estimate, binomial_estimate, mean_estimate
 
 _GENERIC_CHUNK = 2048
 
@@ -122,34 +122,49 @@ def point_mass_curve(config: SrrwConfig, n_list, target, trials: int,
     n_list = sorted(set(int(n) for n in n_list))
     hits = _fast_curve(config, n_list, target, trials, seed, threads)
     if hits is None:
-        hits = _generic_hits(config, n_list, target, trials, seed, threads)
+        key = config.group.canonical_key
+        tkey = key(target)
+        hits = _per_trial_hits(config, n_list, lambda pos: key(pos) == tkey,
+                               60, trials, seed, threads)
     return [(n, binomial_estimate(hits[n], trials)) for n in n_list]
 
 
-def _generic_hits(config, n_list, target, trials, seed, threads):
-    group = config.group
-    tkey = group.canonical_key(target)
-    n_max = n_list[-1]
-    marks = set(n_list)
+def _per_trial(config, n, tag, trials, seed, threads, observe,
+               via_forest=False) -> dict:
+    """{key: sum over trials of observe(trace)[key]}.
+
+    Trial t of chunk c samples one length-n walk from the stream
+    (seed, tag, c, t), sequentially or through a grown forest, and
+    ``observe`` maps its trace to {key: value}.  Sums run in trial order and
+    then in chunk order, so they do not depend on the thread count.
+    """
 
     def worker(ci, m):
-        counts = dict.fromkeys(n_list, 0)
+        out = {}
         for t in range(m):
-            rng = rngmod.stream(seed, 60, ci, t)
-            trace = sample_walk(config, n_max, rng)
-            pos = group.identity()
-            for j, step in enumerate(trace.steps, start=1):
-                pos = group.multiply(pos, step)
-                if j in marks and group.canonical_key(pos) == tkey:
-                    counts[j] += 1
-        return counts
+            rng = rngmod.stream(seed, tag, ci, t)
+            if via_forest:
+                trace = assign_and_assemble(grow(n, config.alpha, rng),
+                                            config, rng)
+            else:
+                trace = sample_walk(config, n, rng)
+            for k, v in observe(trace).items():
+                out[k] = out.get(k, 0) + v
+        return out
 
-    parts = fastpaths._chunk_map(worker, trials, _GENERIC_CHUNK, threads)
-    total = dict.fromkeys(n_list, 0)
-    for part in parts:
-        for n in n_list:
-            total[n] += part[n]
+    total = {}
+    for part in fastpaths._chunk_map(worker, trials, _GENERIC_CHUNK, threads):
+        for k, v in part.items():
+            total[k] = total.get(k, 0) + v
     return total
+
+
+def _per_trial_hits(config, n_list, hit, tag, trials, seed, threads) -> dict:
+    """{n: number of trials with hit(S_n)} over the per-trial route."""
+    total = _per_trial(config, n_list[-1], tag, trials, seed, threads,
+                       lambda trace: {n: 1 for n in n_list
+                                      if hit(trace.positions[n])})
+    return {n: total.get(n, 0) for n in n_list}
 
 
 def mc_point_mass(config: SrrwConfig, n: int, target, trials: int, seed: int,
@@ -178,37 +193,9 @@ def mc_histogram(config: SrrwConfig, n: int, trials: int, seed: int,
                                             via_forest=via_forest)
         return {r: int(c) for r, c in enumerate(counts) if c > 0}
 
-    def worker(ci, m):
-        out = {}
-        for t in range(m):
-            rng = rngmod.stream(seed, 61, ci, t)
-            if via_forest:
-                forest = grow(n, config.alpha, rng)
-                trace = assign_and_assemble(forest, config, rng)
-            else:
-                trace = sample_walk(config, n, rng)
-            key = group.canonical_key(trace.final)
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    parts = fastpaths._chunk_map(worker, trials, _GENERIC_CHUNK, threads)
-    total = {}
-    for part in parts:
-        for k, c in part.items():
-            total[k] = total.get(k, 0) + c
-    return total
-
-
-def mc_max_mass(config: SrrwConfig, n: int, trials: int, seed: int,
-                threads: int = 1) -> tuple:
-    """(argmax key, Estimate) of the largest endpoint point mass.
-
-    Plug-in maximum over the empirical histogram: biased upward by selection,
-    so treat it as an upper indication, not a calibrated estimate.
-    """
-    hist = mc_histogram(config, n, trials, seed, threads=threads)
-    key = max(hist, key=lambda k: (hist[k], str(k)))
-    return key, binomial_estimate(hist[key], trials)
+    return _per_trial(config, n, 61, trials, seed, threads,
+                      lambda trace: {group.canonical_key(trace.final): 1},
+                      via_forest=via_forest)
 
 
 def ball_curve(config: SrrwConfig, n_list, radius: float, trials: int,
@@ -232,25 +219,10 @@ def ball_curve(config: SrrwConfig, n_list, radius: float, trials: int,
                                                 n_list, radius, trials, seed,
                                                 threads=threads)
     if hits is None:
-
-        def worker(ci, m):
-            counts = dict.fromkeys(n_list, 0)
-            for t in range(m):
-                rng = rngmod.stream(seed, 62, ci, t)
-                trace = sample_walk(config, n_list[-1], rng)
-                pos = group.identity()
-                for j, step in enumerate(trace.steps, start=1):
-                    pos = group.multiply(pos, step)
-                    if j in counts:
-                        if math.sqrt(sum(x * x for x in pos)) < radius:
-                            counts[j] += 1
-            return counts
-
-        parts = fastpaths._chunk_map(worker, trials, _GENERIC_CHUNK, threads)
-        hits = dict.fromkeys(n_list, 0)
-        for part in parts:
-            for n in n_list:
-                hits[n] += part[n]
+        hits = _per_trial_hits(
+            config, n_list,
+            lambda pos: math.sqrt(sum(x * x for x in pos)) < radius, 62,
+            trials, seed, threads)
     return [(n, binomial_estimate(hits[n], trials)) for n in n_list]
 
 
@@ -271,22 +243,14 @@ def mc_escape_rate(config: SrrwConfig, n: int, trials: int, seed: int,
                                                  threads=threads)
         est = mean_estimate(float(s), float(s2), trials)
     else:
-        group = config.group
+        word_distance = config.group.word_distance
 
-        def worker(ci, m):
-            tot = 0.0
-            tot2 = 0.0
-            for t in range(m):
-                rng = rngmod.stream(seed, 63, ci, t)
-                trace = sample_walk(config, n, rng)
-                dd = float(group.word_distance(trace.final))
-                tot += dd
-                tot2 += dd * dd
-            return np.array([tot, tot2])
+        def moments(trace):
+            dd = float(word_distance(trace.final))
+            return {1: dd, 2: dd * dd}
 
-        parts = fastpaths._chunk_map(worker, trials, _GENERIC_CHUNK, threads)
-        total = np.sum(parts, axis=0)
-        est = mean_estimate(float(total[0]), float(total[1]), trials)
+        total = _per_trial(config, n, 63, trials, seed, threads, moments)
+        est = mean_estimate(total[1], total[2], trials)
     scale = 1.0 / n
     return Estimate(value=est.value * scale, stderr=est.stderr * scale,
                     ci_low=est.ci_low * scale, ci_high=est.ci_high * scale,
@@ -317,7 +281,7 @@ class DecayFit:
         return self.slope_ci[0] > 0.0 or self.slope_ci[1] < 0.0
 
 
-def rate_fit(points, model: str, z: float = 1.959963984540054) -> DecayFit:
+def rate_fit(points, model: str) -> DecayFit:
     """Fit log p = intercept + slope * x(n) over (n, Estimate) pairs.
 
     x is log n ("power"), n ("exp") or n^(1/3) ("stretched").  Weights are
@@ -352,14 +316,9 @@ def rate_fit(points, model: str, z: float = 1.959963984540054) -> DecayFit:
     resid = float((ws * (ys - intercept - slope * xs) ** 2).sum())
     return DecayFit(model=model, slope=float(slope),
                     intercept=float(intercept), slope_stderr=se,
-                    slope_ci=(slope - z * se, slope + z * se),
+                    slope_ci=(slope - Z95 * se, slope + Z95 * se),
                     residual=resid, used=tuple(used),
                     dropped=tuple(dropped))
-
-
-def decay_fit_from_counts(hits: dict, trials: int, model: str) -> DecayFit:
-    points = [(n, binomial_estimate(h, trials)) for n, h in sorted(hits.items())]
-    return rate_fit(points, model)
 
 
 @dataclass(frozen=True)

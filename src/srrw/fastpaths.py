@@ -1,12 +1,24 @@
 """Vectorized Monte Carlo engines for the walk families the decay criteria
 run at scale.
 
-Each driver simulates a specific (group, transform, step-law) family with
-numpy column operations: one column per step, one row per trial, identity (or
-rotation) replay realized as a gather on the past-step matrix.  Work is cut
-into fixed-size chunks; chunk c of a run draws every number from the stream
-(seed, tag, c) and results are merged in chunk order, so counts are identical
-for any thread count and any scheduling.
+Each engine simulates one (group, transform, step-law) family with numpy
+column operations, one row per trial.  All of them share one replay kernel,
+``_replay_columns``, and differ only in a small per-chunk state: how a step
+column moves the positions, and what is counted at a checkpoint.
+
+Draw protocol.  Work is cut into fixed-size chunks, and chunk c of a run
+draws every number from the stream (seed, tag, c), in this order:
+
+- step 1: a fresh column;
+- step j >= 2: ``u = rng.integers(0, j-1, m)`` picks a past step per row
+  and its code is gathered; the engine's replay hook, if any, transforms it
+  (the tree's rotation draws ``rng.integers(1, d, m)`` here whenever d > 1,
+  rotating or not); then a fresh column; then ``keep = rng.random(m) <
+  alpha``.  Step j is the replayed code where ``keep`` holds and the fresh
+  one elsewhere.
+
+Results are merged in chunk order, so counts are identical for any thread
+count and any scheduling.  Changing this order changes every count.
 
 Everything here returns integer counts (or integer sums); turning counts into
 estimates with intervals happens one level up.
@@ -18,6 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import forest
 from . import rng as rngmod
 
 
@@ -39,8 +52,73 @@ def _chunk_map(worker, trials: int, chunk: int, threads: int):
         return list(ex.map(worker, range(len(sizes)), sizes))
 
 
-def _sample_atoms(rng, cum_weights: np.ndarray, m: int) -> np.ndarray:
-    return np.searchsorted(cum_weights, rng.random(m), side="right")
+def _code_dtype(atoms: int):
+    """Smallest unsigned integer dtype that holds step codes 0..atoms-1."""
+    return np.min_scalar_type(max(atoms - 1, 0))
+
+
+def _atom_law(weights):
+    """(fresh, dtype) for a finite step law: one uniform per row, inverted
+    through the cumulative weights, gives the atom's code."""
+    cum = np.cumsum(np.asarray(weights, dtype=float))
+    return ((lambda rng, m: np.searchsorted(cum, rng.random(m), side="right")),
+            _code_dtype(len(cum)))
+
+
+def _replay_columns(rng, m: int, n: int, alpha: float, law, hook=None):
+    """Yield (j, column) for j = 1..n in the module's draw protocol.
+
+    ``law`` is ``(fresh, dtype)``: ``fresh(rng, m)`` draws m fresh steps
+    (codes, or rows of coordinates) and ``dtype`` stores them.
+    ``hook(rng, past)`` transforms the replayed codes.
+    """
+    fresh, dtype = law
+    col = fresh(rng, m).astype(dtype, copy=False)
+    codes = np.empty((m, n) + col.shape[1:], dtype=dtype)
+    codes[:, 0] = col
+    yield 1, col
+    rows = np.arange(m)
+    for j in range(2, n + 1):
+        past = codes[rows, rng.integers(0, j - 1, size=m)]
+        if hook is not None:
+            past = hook(rng, past)
+        new = fresh(rng, m).astype(dtype, copy=False)
+        keep = rng.random(m) < alpha
+        if new.ndim > 1:
+            keep = keep[:, None]
+        col = np.where(keep, past, new)
+        codes[:, j - 1] = col
+        yield j, col
+
+
+def _replay_sums(law, alpha: float, checkpoints, start, trials: int,
+                 seed: int, threads: int, tag: int, chunk: int,
+                 hook=None) -> dict:
+    """{checkpoint: observation summed over all trials}, in one pass.
+
+    ``start(m)`` builds the state of a chunk of m trials and returns its
+    ``(apply, observe)`` pair: ``apply(col)`` takes one step column and
+    ``observe()`` counts (or sums) over the chunk's current positions.
+    """
+    cps = sorted(set(int(c) for c in checkpoints))
+    marks = set(cps)
+
+    def worker(ci: int, m: int) -> np.ndarray:
+        rng = rngmod.stream(seed, tag, ci)
+        apply, observe = start(m)
+        out = []
+        for j, col in _replay_columns(rng, m, cps[-1], alpha, law, hook):
+            apply(col)
+            if j in marks:
+                out.append(observe())
+        return np.array(out)
+
+    total = np.sum(_chunk_map(worker, trials, chunk, threads), axis=0)
+    return dict(zip(cps, total))
+
+
+def _counts(sums: dict) -> dict:
+    return {c: int(v) for c, v in sums.items()}
 
 
 def cyclic_histogram(L: int, alpha: float, atoms, weights, n: int,
@@ -53,36 +131,53 @@ def cyclic_histogram(L: int, alpha: float, atoms, weights, n: int,
     same law and give the distributional triangle its second corner.
     """
     atoms = np.asarray(atoms, dtype=np.int64)
-    cum = np.cumsum(np.asarray(weights, dtype=float))
-    tag = 11 if via_forest else 10
+    law = _atom_law(weights)
+    if via_forest:
+        fresh = law[0]
 
-    def worker(ci: int, m: int) -> np.ndarray:
-        rng = rngmod.stream(seed, tag, ci)
-        rows = np.arange(m)
-        if via_forest:
-            fresh = atoms[_sample_atoms(rng, cum, m * n).reshape(m, n)]
-            root = np.zeros((m, n + 1), dtype=np.int32)
-            root[:, 1] = 1
-            for j in range(2, n + 1):
-                u = rng.integers(1, j, size=m)
-                keep = rng.random(m) < alpha
-                root[:, j] = np.where(keep, root[rows, u], j)
-            vals = np.take_along_axis(fresh, root[:, 1:] - 1, axis=1)
-            pos = vals.sum(axis=1) % L
-        else:
-            steps = np.empty((m, n), dtype=np.int64)
-            steps[:, 0] = atoms[_sample_atoms(rng, cum, m)]
-            for j in range(2, n + 1):
-                u = rng.integers(0, j - 1, size=m)
-                replay = steps[rows, u]
-                fresh = atoms[_sample_atoms(rng, cum, m)]
-                keep = rng.random(m) < alpha
-                steps[:, j - 1] = np.where(keep, replay, fresh)
-            pos = steps.sum(axis=1) % L
-        return np.bincount(pos, minlength=L)
+        def worker(ci: int, m: int) -> np.ndarray:
+            rng = rngmod.stream(seed, 11, ci)
+            vals = atoms[fresh(rng, m * n).reshape(m, n)]
+            root = forest._root_matrix(n, alpha, m, rng)
+            pos = np.take_along_axis(vals, root[:, 1:] - 1, axis=1).sum(axis=1)
+            return np.bincount(pos % L, minlength=L)
 
-    parts = _chunk_map(worker, trials, 1 << 16, threads)
-    return np.sum(parts, axis=0)
+        return np.sum(_chunk_map(worker, trials, 1 << 16, threads), axis=0)
+
+    def start(m):
+        pos = np.zeros(m, dtype=np.int64)
+
+        def apply(col):
+            nonlocal pos
+            pos += atoms[col]
+
+        return apply, lambda: np.bincount(pos % L, minlength=L)
+
+    return _replay_sums(law, alpha, [n], start, trials, seed, threads, 10,
+                        1 << 16)[n]
+
+
+def _lattice_hits(disps, weights, alpha, checkpoints, inside, trials, seed,
+                  threads, tag) -> dict:
+    """Counts of rows whose lattice position is ``inside`` at each horizon."""
+    disps = np.asarray(disps, dtype=np.int64)
+
+    def start(m):
+        pos = np.zeros((m, disps.shape[1]), dtype=np.int64)
+
+        def apply(col):
+            nonlocal pos
+            pos += disps[col]
+
+        return apply, lambda: inside(pos).sum()
+
+    return _counts(_replay_sums(_atom_law(weights), alpha, checkpoints, start,
+                                trials, seed, threads, tag, 1 << 16))
+
+
+def _in_ball(radius: float):
+    r2 = radius * radius
+    return lambda pos: (pos * pos).sum(axis=1) < r2
 
 
 def lattice_target_hits(disps: np.ndarray, weights, alpha: float,
@@ -95,112 +190,38 @@ def lattice_target_hits(disps: np.ndarray, weights, alpha: float,
     horizon, so the per-horizon counts share trials (fine for point
     estimates, deliberate for the runtime budget).
     """
-    disps = np.asarray(disps, dtype=np.int64)
-    cum = np.cumsum(np.asarray(weights, dtype=float))
-    cps = sorted(set(int(c) for c in checkpoints))
-    n_max = cps[-1]
     tgt = np.asarray(target, dtype=np.int64)
-
-    def worker(ci: int, m: int) -> np.ndarray:
-        rng = rngmod.stream(seed, 20, ci)
-        rows = np.arange(m)
-        codes = np.empty((m, n_max), dtype=np.int16)
-        pos = np.zeros((m, disps.shape[1]), dtype=np.int64)
-        hits = np.zeros(len(cps), dtype=np.int64)
-        cp_idx = {c: i for i, c in enumerate(cps)}
-        codes[:, 0] = _sample_atoms(rng, cum, m)
-        pos += disps[codes[:, 0]]
-        if 1 in cp_idx:
-            hits[cp_idx[1]] = (pos == tgt).all(axis=1).sum()
-        for j in range(2, n_max + 1):
-            u = rng.integers(0, j - 1, size=m)
-            replay = codes[rows, u]
-            fresh = _sample_atoms(rng, cum, m)
-            keep = rng.random(m) < alpha
-            col = np.where(keep, replay, fresh).astype(np.int16)
-            codes[:, j - 1] = col
-            pos += disps[col]
-            if j in cp_idx:
-                hits[cp_idx[j]] = (pos == tgt).all(axis=1).sum()
-        return hits
-
-    parts = _chunk_map(worker, trials, 1 << 16, threads)
-    total = np.sum(parts, axis=0)
-    return {c: int(total[i]) for i, c in enumerate(cps)}
+    return _lattice_hits(disps, weights, alpha, checkpoints,
+                         lambda pos: (pos == tgt).all(axis=1), trials, seed,
+                         threads, 20)
 
 
 def lattice_ball_hits(disps: np.ndarray, weights, alpha: float, checkpoints,
                       radius: float, trials: int, seed: int,
                       threads: int = 1) -> dict:
     """Counts of |position| < radius (Euclidean norm) at several horizons."""
-    disps = np.asarray(disps, dtype=np.int64)
-    cum = np.cumsum(np.asarray(weights, dtype=float))
-    cps = sorted(set(int(c) for c in checkpoints))
-    n_max = cps[-1]
-    r2 = radius * radius
-
-    def worker(ci: int, m: int) -> np.ndarray:
-        rng = rngmod.stream(seed, 21, ci)
-        rows = np.arange(m)
-        codes = np.empty((m, n_max), dtype=np.int16)
-        pos = np.zeros((m, disps.shape[1]), dtype=np.int64)
-        hits = np.zeros(len(cps), dtype=np.int64)
-        cp_idx = {c: i for i, c in enumerate(cps)}
-        codes[:, 0] = _sample_atoms(rng, cum, m)
-        pos += disps[codes[:, 0]]
-        if 1 in cp_idx:
-            hits[cp_idx[1]] = ((pos * pos).sum(axis=1) < r2).sum()
-        for j in range(2, n_max + 1):
-            u = rng.integers(0, j - 1, size=m)
-            replay = codes[rows, u]
-            fresh = _sample_atoms(rng, cum, m)
-            keep = rng.random(m) < alpha
-            col = np.where(keep, replay, fresh).astype(np.int16)
-            codes[:, j - 1] = col
-            pos += disps[col]
-            if j in cp_idx:
-                hits[cp_idx[j]] = ((pos * pos).sum(axis=1) < r2).sum()
-        return hits
-
-    parts = _chunk_map(worker, trials, 1 << 16, threads)
-    total = np.sum(parts, axis=0)
-    return {c: int(total[i]) for i, c in enumerate(cps)}
+    return _lattice_hits(disps, weights, alpha, checkpoints, _in_ball(radius),
+                         trials, seed, threads, 21)
 
 
 def gaussian_ball_hits(d: int, alpha: float, checkpoints, radius: float,
                        trials: int, seed: int, threads: int = 1) -> dict:
     """Counts of |position| < radius for standard-normal steps with identity
     replay in d continuous coordinates."""
-    cps = sorted(set(int(c) for c in checkpoints))
-    n_max = cps[-1]
-    r2 = radius * radius
+    inside = _in_ball(radius)
 
-    def worker(ci: int, m: int) -> np.ndarray:
-        rng = rngmod.stream(seed, 22, ci)
-        rows = np.arange(m)
-        steps = np.empty((m, n_max, d), dtype=np.float64)
+    def start(m):
         pos = np.zeros((m, d), dtype=np.float64)
-        hits = np.zeros(len(cps), dtype=np.int64)
-        cp_idx = {c: i for i, c in enumerate(cps)}
-        steps[:, 0, :] = rng.standard_normal((m, d))
-        pos += steps[:, 0, :]
-        if 1 in cp_idx:
-            hits[cp_idx[1]] = ((pos * pos).sum(axis=1) < r2).sum()
-        for j in range(2, n_max + 1):
-            u = rng.integers(0, j - 1, size=m)
-            replay = steps[rows, u, :]
-            fresh = rng.standard_normal((m, d))
-            keep = rng.random(m) < alpha
-            col = np.where(keep[:, None], replay, fresh)
-            steps[:, j - 1, :] = col
-            pos += col
-            if j in cp_idx:
-                hits[cp_idx[j]] = ((pos * pos).sum(axis=1) < r2).sum()
-        return hits
 
-    parts = _chunk_map(worker, trials, 1 << 12, threads)
-    total = np.sum(parts, axis=0)
-    return {c: int(total[i]) for i, c in enumerate(cps)}
+        def apply(col):
+            nonlocal pos
+            pos += col
+
+        return apply, lambda: inside(pos).sum()
+
+    law = (lambda rng, m: rng.standard_normal((m, d))), np.float64
+    return _counts(_replay_sums(law, alpha, checkpoints, start, trials, seed,
+                                threads, 22, 1 << 12))
 
 
 def _erw_params(d: int, p: float):
@@ -209,88 +230,62 @@ def _erw_params(d: int, p: float):
     return 1 - d * p, True
 
 
-def tree_erw_origin_hits(d: int, p: float, checkpoints, trials: int,
-                         seed: int, threads: int = 1) -> dict:
-    """Counts of returns to the empty word for the elephant walk on the
-    d-regular tree, at several horizons in one pass.
+def _tree_sums(d: int, p: float, checkpoints, observe, trials: int,
+               seed: int, threads: int, tag: int, chunk: int) -> dict:
+    """Sums of ``observe(depth)`` for the elephant walk on the d-regular tree.
 
     Words live on a per-trial stack of letters; a step either cancels the
-    top letter or pushes, so the empty-word test is depth == 0.
+    top letter or pushes, so the word length is the stack depth.
     """
     alpha, rotate = _erw_params(d, p)
-    cps = sorted(set(int(c) for c in checkpoints))
-    n_max = cps[-1]
+    n_max = max(int(c) for c in checkpoints)
+    dtype = _code_dtype(d)
 
-    def worker(ci: int, m: int) -> np.ndarray:
-        rng = rngmod.stream(seed, 30, ci)
+    def rotation(rng, past):
+        shift = rng.integers(1, d, size=len(past))
+        return (past + shift) % d if rotate else past
+
+    def start(m):
         rows = np.arange(m)
-        steps = np.empty((m, n_max), dtype=np.int8)
-        stack = np.zeros((m, n_max + 1), dtype=np.int8)
-        depth = np.ones(m, dtype=np.int32)
-        hits = np.zeros(len(cps), dtype=np.int64)
-        cp_idx = {c: i for i, c in enumerate(cps)}
-        first = rng.integers(0, d, size=m).astype(np.int8)
-        steps[:, 0] = first
-        stack[:, 0] = first
-        if 1 in cp_idx:
-            hits[cp_idx[1]] = 0
-        for j in range(2, n_max + 1):
-            u = rng.integers(0, j - 1, size=m)
-            past = steps[rows, u]
-            shift = rng.integers(1, d, size=m) if d > 1 else 0
-            replay = ((past + shift) % d).astype(np.int8) if rotate else past
-            fresh = rng.integers(0, d, size=m).astype(np.int8)
-            keep = rng.random(m) < alpha
-            letter = np.where(keep, replay, fresh).astype(np.int8)
-            steps[:, j - 1] = letter
+        stack = np.zeros((m, n_max + 1), dtype=dtype)
+        depth = np.zeros(m, dtype=np.int32)
+
+        def apply(letter):
+            nonlocal depth
             top = stack[rows, np.maximum(depth - 1, 0)]
             cancel = (depth > 0) & (top == letter)
             depth = depth + np.where(cancel, -1, 1)
             push = ~cancel
             stack[rows[push], depth[push] - 1] = letter[push]
-            if j in cp_idx:
-                hits[cp_idx[j]] = (depth == 0).sum()
-        return hits
 
-    parts = _chunk_map(worker, trials, 1 << 17, threads)
-    total = np.sum(parts, axis=0)
-    return {c: int(total[i]) for i, c in enumerate(cps)}
+        return apply, lambda: observe(depth)
+
+    law = (lambda rng, m: rng.integers(0, d, size=m)), dtype
+    return _replay_sums(law, alpha, checkpoints, start, trials, seed,
+                        threads, tag, chunk,
+                        hook=rotation if d > 1 else None)
+
+
+def tree_erw_origin_hits(d: int, p: float, checkpoints, trials: int,
+                         seed: int, threads: int = 1) -> dict:
+    """Counts of returns to the empty word for the elephant walk on the
+    d-regular tree, at several horizons in one pass."""
+    return _counts(_tree_sums(d, p, checkpoints,
+                              lambda depth: (depth == 0).sum(), trials, seed,
+                              threads, 30, 1 << 17))
 
 
 def tree_erw_distance_sums(d: int, p: float, n: int, trials: int, seed: int,
                            threads: int = 1) -> tuple:
     """(sum, sum of squares) of the word distance after n steps."""
-    alpha, rotate = _erw_params(d, p)
 
-    def worker(ci: int, m: int):
-        rng = rngmod.stream(seed, 31, ci)
-        rows = np.arange(m)
-        steps = np.empty((m, n), dtype=np.int8)
-        stack = np.zeros((m, n + 1), dtype=np.int8)
-        depth = np.ones(m, dtype=np.int32)
-        first = rng.integers(0, d, size=m).astype(np.int8)
-        steps[:, 0] = first
-        stack[:, 0] = first
-        for j in range(2, n + 1):
-            u = rng.integers(0, j - 1, size=m)
-            past = steps[rows, u]
-            shift = rng.integers(1, d, size=m) if d > 1 else 0
-            replay = ((past + shift) % d).astype(np.int8) if rotate else past
-            fresh = rng.integers(0, d, size=m).astype(np.int8)
-            keep = rng.random(m) < alpha
-            letter = np.where(keep, replay, fresh).astype(np.int8)
-            steps[:, j - 1] = letter
-            top = stack[rows, np.maximum(depth - 1, 0)]
-            cancel = (depth > 0) & (top == letter)
-            depth = depth + np.where(cancel, -1, 1)
-            push = ~cancel
-            stack[rows[push], depth[push] - 1] = letter[push]
+    def moments(depth):
         dd = depth.astype(np.int64)
         return np.array([dd.sum(), (dd * dd).sum()], dtype=np.int64)
 
-    parts = _chunk_map(worker, trials, 1 << 15, threads)
-    total = np.sum(parts, axis=0)
-    return int(total[0]), int(total[1])
+    s, s2 = _tree_sums(d, p, [n], moments, trials, seed, threads, 31,
+                       1 << 15)[n]
+    return int(s), int(s2)
 
 
 # S3 permutations as image tuples, indexed; composition is left to right.
@@ -320,45 +315,20 @@ def s3z_target_hits(alpha: float, atom_perms, atom_zs, weights, checkpoints,
     """
     ap = np.asarray(atom_perms, dtype=np.int8)
     az = np.asarray(atom_zs, dtype=np.int64)
-    cum = np.cumsum(np.asarray(weights, dtype=float))
-    cps = sorted(set(int(c) for c in checkpoints))
-    n_max = cps[-1]
 
-    def worker(ci: int, m: int) -> np.ndarray:
-        rng = rngmod.stream(seed, 40, ci)
-        rows = np.arange(m)
-        codes = np.empty((m, n_max), dtype=np.int8)
+    def start(m):
         perm = np.zeros(m, dtype=np.int8)
         z = np.zeros(m, dtype=np.int64)
-        hits = np.zeros(len(cps), dtype=np.int64)
-        cp_idx = {c: i for i, c in enumerate(cps)}
 
         def apply(col):
             nonlocal perm, z
             perm = _S3_MULT[perm, ap[col]]
             z = z + az[col]
 
-        col = _sample_atoms(rng, cum, m).astype(np.int8)
-        codes[:, 0] = col
-        apply(col)
-        if 1 in cp_idx:
-            hits[cp_idx[1]] = ((perm == target_perm) & (z == target_z)).sum()
-        for j in range(2, n_max + 1):
-            u = rng.integers(0, j - 1, size=m)
-            replay = codes[rows, u]
-            fresh = _sample_atoms(rng, cum, m).astype(np.int8)
-            keep = rng.random(m) < alpha
-            col = np.where(keep, replay, fresh).astype(np.int8)
-            codes[:, j - 1] = col
-            apply(col)
-            if j in cp_idx:
-                hits[cp_idx[j]] = ((perm == target_perm)
-                                   & (z == target_z)).sum()
-        return hits
+        return apply, lambda: ((perm == target_perm) & (z == target_z)).sum()
 
-    parts = _chunk_map(worker, trials, 1 << 16, threads)
-    total = np.sum(parts, axis=0)
-    return {c: int(total[i]) for i, c in enumerate(cps)}
+    return _counts(_replay_sums(_atom_law(weights), alpha, checkpoints, start,
+                                trials, seed, threads, 40, 1 << 16))
 
 
 def masked_set_walk(step_tables, start_mask: int, n_states: int, trials: int,
@@ -397,19 +367,12 @@ def lamplighter_origin_hits(alpha: float, weights, checkpoints, trials: int,
     weights.  Lamp states live in a boolean window wide enough for the
     horizon, so every configuration is tracked exactly.
     """
-    cum = np.cumsum(np.asarray(weights, dtype=float))
-    cps = sorted(set(int(c) for c in checkpoints))
-    n_max = cps[-1]
-    off = n_max  # marker stays within +-n_max
+    off = max(int(c) for c in checkpoints)  # marker stays within +-off
 
-    def worker(ci: int, m: int) -> np.ndarray:
-        rng = rngmod.stream(seed, 50, ci)
+    def start(m):
         rows = np.arange(m)
-        codes = np.empty((m, n_max), dtype=np.int8)
-        lamps = np.zeros((m, 2 * n_max + 1), dtype=bool)
+        lamps = np.zeros((m, 2 * off + 1), dtype=bool)
         marker = np.zeros(m, dtype=np.int64)
-        hits = np.zeros(len(cps), dtype=np.int64)
-        cp_idx = {c: i for i, c in enumerate(cps)}
 
         def apply(col):
             nonlocal marker
@@ -417,23 +380,7 @@ def lamplighter_origin_hits(alpha: float, weights, checkpoints, trials: int,
             lamps[rows[t], marker[t] + off] ^= True
             marker = marker + (col == 2) - (col == 3)
 
-        col = _sample_atoms(rng, cum, m).astype(np.int8)
-        codes[:, 0] = col
-        apply(col)
-        if 1 in cp_idx:
-            hits[cp_idx[1]] = ((marker == 0) & ~lamps.any(axis=1)).sum()
-        for j in range(2, n_max + 1):
-            u = rng.integers(0, j - 1, size=m)
-            replay = codes[rows, u]
-            fresh = _sample_atoms(rng, cum, m).astype(np.int8)
-            keep = rng.random(m) < alpha
-            col = np.where(keep, replay, fresh).astype(np.int8)
-            codes[:, j - 1] = col
-            apply(col)
-            if j in cp_idx:
-                hits[cp_idx[j]] = ((marker == 0) & ~lamps.any(axis=1)).sum()
-        return hits
+        return apply, lambda: ((marker == 0) & ~lamps.any(axis=1)).sum()
 
-    parts = _chunk_map(worker, trials, 1 << 14, threads)
-    total = np.sum(parts, axis=0)
-    return {c: int(total[i]) for i, c in enumerate(cps)}
+    return _counts(_replay_sums(_atom_law(weights), alpha, checkpoints, start,
+                                trials, seed, threads, 50, 1 << 14))

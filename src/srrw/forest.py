@@ -173,6 +173,15 @@ def cluster_size_walk(alpha: float, n: int, rng_seed,
     return total
 
 
+def _attachments(n: int, alpha: float, trials: int, rng):
+    """Yield (j, u, keep) for vertices j = 2..n of ``trials`` forests at once:
+    the attachment targets, uniform on 1..j-1, are drawn first, then whether
+    each new edge is kept."""
+    for j in range(2, n + 1):
+        u = rng.integers(1, j, size=trials)
+        yield j, u, rng.random(trials) < alpha
+
+
 def _root_matrix(n: int, alpha: float, trials: int, rng) -> np.ndarray:
     """(trials, n+1) matrix of cluster roots; column 0 is padding.
 
@@ -182,11 +191,8 @@ def _root_matrix(n: int, alpha: float, trials: int, rng) -> np.ndarray:
     root_of = np.zeros((trials, n + 1), dtype=np.int32)
     root_of[:, 1] = 1
     rows = np.arange(trials)
-    for j in range(2, n + 1):
-        u = rng.integers(1, j, size=trials)
-        keep = rng.random(trials) < alpha
-        parent_root = root_of[rows, u]
-        root_of[:, j] = np.where(keep, parent_root, j)
+    for j, u, keep in _attachments(n, alpha, trials, rng):
+        root_of[:, j] = np.where(keep, root_of[rows, u], j)
     return root_of
 
 
@@ -231,9 +237,7 @@ def isolated_counts_batch(n: int, alpha: float, trials: int, rng) -> np.ndarray:
     own_dropped = np.ones((trials, n + 1), dtype=bool)
     has_kept_child = np.zeros((trials, n + 1), dtype=bool)
     rows = np.arange(trials)
-    for j in range(2, n + 1):
-        u = rng.integers(1, j, size=trials)
-        keep = rng.random(trials) < alpha
+    for j, u, keep in _attachments(n, alpha, trials, rng):
         own_dropped[:, j] = ~keep
         has_kept_child[rows[keep], u[keep]] = True
     return (own_dropped[:, 1:] & ~has_kept_child[:, 1:]).sum(axis=1)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.stats import norm
+# The two-sided 95% normal quantile, norm.ppf(0.975), to the last bit.
+Z95 = 1.959963984540054
 
 
 @dataclass
@@ -37,8 +38,8 @@ class Estimate:
         return (self.ci_low, self.ci_high)
 
 
-def wilson_interval(successes: int, trials: int, confidence: float = 0.95):
-    z = norm.ppf(0.5 * (1 + confidence))
+def wilson_interval(successes: int, trials: int):
+    z = Z95
     p = successes / trials
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -46,8 +47,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def binomial_estimate(successes: int, trials: int,
-                      confidence: float = 0.95) -> Estimate:
+def binomial_estimate(successes: int, trials: int) -> Estimate:
     """Estimate a probability from a success count.
 
     Falls back to the Wilson interval when fewer than 10 successes or
@@ -65,19 +65,17 @@ def binomial_estimate(successes: int, trials: int,
         lo, hi = (0.0, bound) if successes == 0 else (1.0 - bound, 1.0)
         return Estimate(p, stderr, lo, hi, trials, method="rule_of_three")
     if min(successes, trials - successes) < 10:
-        lo, hi = wilson_interval(successes, trials, confidence)
+        lo, hi = wilson_interval(successes, trials)
         return Estimate(p, stderr, lo, hi, trials, method="wilson")
-    z = norm.ppf(0.5 * (1 + confidence))
-    return Estimate(p, stderr, p - z * stderr, p + z * stderr, trials)
+    return Estimate(p, stderr, p - Z95 * stderr, p + Z95 * stderr, trials)
 
 
-def mean_estimate(total: float, total_sq: float, trials: int,
-                  confidence: float = 0.95) -> Estimate:
+def mean_estimate(total: float, total_sq: float, trials: int) -> Estimate:
     """z-interval for a sample mean given running sums of x and x^2."""
     if trials < 2:
         raise ValueError("need at least two trials for a mean interval")
     mean = total / trials
     var = max(0.0, total_sq / trials - mean * mean) * trials / (trials - 1)
     stderr = math.sqrt(var / trials)
-    z = norm.ppf(0.5 * (1 + confidence))
-    return Estimate(mean, stderr, mean - z * stderr, mean + z * stderr, trials)
+    return Estimate(mean, stderr, mean - Z95 * stderr, mean + Z95 * stderr,
+                    trials)

@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from srrw.estimators import (DecayFit, class_function_decay,
-                             decay_fit_from_counts, isolated_tail_check,
+from srrw.estimators import (class_function_decay, isolated_tail_check,
                              mc_escape_rate, mc_point_mass, point_mass_curve,
                              rate_fit)
 from srrw.groups import IntegerLatticeZd, StepDistribution
@@ -100,16 +99,6 @@ def test_rate_fit_weighting_downplays_noisy_points():
                           ci_low=1e-9, ci_high=1.0, trials=100))
     fit = rate_fit(pts + [wild], "power")
     assert abs(fit.slope + 1.0) < 1e-3
-
-
-def test_decay_fit_from_counts_equals_manual_fit():
-    hits = {8: 5000, 16: 2500, 32: 1300, 64: 640}
-    trials = 10 ** 5
-    auto = decay_fit_from_counts(hits, trials, "power")
-    manual = rate_fit([(n, binomial_estimate(h, trials))
-                       for n, h in hits.items()], "power")
-    assert auto == manual
-    assert isinstance(auto, DecayFit)
 
 
 def test_isolated_tail_check_fields_and_pass():

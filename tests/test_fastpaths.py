@@ -183,19 +183,56 @@ def test_ball_curve_rejects_word_groups():
         ball_curve(cfg, [4], 2.0, 100, SEED)
 
 
+def test_s3z_engine_indexes_every_atom():
+    # 200 atoms do not fit int8 codes; at n = 1 the walk sits on the drawn
+    # atom, so P(S_1 = atom 150) is that atom's weight
+    heavy = 0.9
+    sup = [(((0, 1, 2), z), heavy if z == 150 else (1 - heavy) / 199)
+           for z in range(200)]
+    cfg = SrrwConfig(group=S3xZ(), alpha=0.5,
+                     mu=StepDistribution(support=sup))
+    est = mc_point_mass(cfg, 1, ((0, 1, 2), 150), 20000, SEED)
+    assert abs(z_score(est, heavy)) < 4
+
+
 def test_thread_count_never_changes_results():
-    cfgs = [
-        (lattice_cfg(2, 0.5), 12, (0, 0)),
-        (erw_config(3, 0.4), 12, RegularTreeFree(3).identity()),
+    lat, tree = lattice_cfg(2, 0.5), erw_config(3, 0.4)
+    s3z = SrrwConfig(group=S3xZ(), alpha=0.5, mu=StepDistribution(support=[
+        (((1, 0, 2), 1), 0.4), (((1, 0, 2), -1), 0.4),
+        (((0, 2, 1), 0), 0.2)]))
+    lamp = SrrwConfig(group=LamplighterZ(), alpha=0.4, mu=StepDistribution(
+        support=[((frozenset(), 0), 0.25), ((frozenset([0]), 0), 0.25),
+                 ((frozenset(), 1), 0.25), ((frozenset(), -1), 0.25)]))
+    cyc = SrrwConfig(group=CycleZL(5), alpha=0.6, mu=StepDistribution(
+        support=[(1, 0.5), (4, 0.5)]))
+    gauss = SrrwConfig(group=EuclideanRd(2), alpha=0.5,
+                       mu=StepDistribution(family="gaussian"))
+    # IidSign(1.0) keeps the lattice law but takes the per-trial route
+    slow = SrrwConfig(group=lat.group, alpha=lat.alpha, mu=lat.mu,
+                      transform=IidSign(1.0))
+    # the added runs span at least two chunks of their engine
+    runs = [
+        lambda th: mc_point_mass(lat, 12, (0, 0), 9000, SEED, threads=th),
+        lambda th: mc_point_mass(tree, 12, RegularTreeFree(3).identity(),
+                                 9000, SEED, threads=th),
+        lambda th: mc_histogram(lat, 8, 9000, SEED, threads=th),
+        lambda th: point_mass_curve(s3z, [4, 8], S3xZ().identity(), 70000,
+                                    SEED, threads=th),
+        lambda th: point_mass_curve(lamp, [4, 8], LamplighterZ().identity(),
+                                    20000, SEED, threads=th),
+        lambda th: mc_histogram(cyc, 6, 70000, SEED, threads=th),
+        lambda th: mc_histogram(cyc, 6, 70000, SEED, threads=th,
+                                via_forest=True),
+        lambda th: ball_curve(lat, [6, 12], 2.5, 70000, SEED, threads=th),
+        lambda th: ball_curve(gauss, [4, 8], 2.0, 9000, SEED, threads=th),
+        lambda th: mc_escape_rate(tree, 12, 40000, SEED, threads=th),
+        lambda th: point_mass_curve(slow, [4, 8], (0, 0), 5000, SEED,
+                                    threads=th),
     ]
-    for cfg, n, target in cfgs:
-        ref = mc_point_mass(cfg, n, target, 9000, SEED, threads=1)
+    for run in runs:
+        ref = run(1)
         for threads in (2, 5):
-            est = mc_point_mass(cfg, n, target, 9000, SEED, threads=threads)
-            assert est.value == ref.value
-    hist1 = mc_histogram(cfgs[0][0], 8, 9000, SEED, threads=1)
-    hist4 = mc_histogram(cfgs[0][0], 8, 9000, SEED, threads=4)
-    assert hist1 == hist4
+            assert run(threads) == ref
 
 
 def test_engine_reproducibility_same_seed():

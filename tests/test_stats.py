@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srrw.stats import Estimate, binomial_estimate, mean_estimate, wilson_interval
+from srrw.stats import (Z95, Estimate, binomial_estimate, mean_estimate,
+                        wilson_interval)
 
 
 def test_normal_case_is_symmetric():
@@ -77,8 +78,10 @@ def test_interval_always_brackets_point(successes, trials):
 def test_wilson_interval_against_scipy_reference():
     # scipy's own Wilson implementation is an independent formula
     from scipy.stats._binomtest import _binary_search_for_binom_tst  # noqa: F401
-    from scipy.stats import binomtest
+    from scipy.stats import binomtest, norm
 
+    # the quantile constant is the exact double scipy returns
+    assert Z95 == norm.ppf(0.975)
     for k, n in ((4, 1000), (17, 120), (60, 61)):
         lo, hi = wilson_interval(k, n)
         ref = binomtest(k, n).proportion_ci(confidence_level=0.95,
