@@ -24,8 +24,7 @@ from .evolving import (doob_step, iso_profile, kernel_seq_from_forest,
                        psi_profile)
 from .forest import assign_and_assemble, grow
 from .groups import (CycleZL, EuclideanRd, Group, IntegerLatticeZd,
-                     LamplighterZ, RegularTreeFree, S3xZ, StepDistribution,
-                     Z2, group_from_literal)
+                     LamplighterZ, StepDistribution, Z2, group_from_literal)
 from .oracle import exact_distribution
 from .sampler import SrrwConfig, transform_from_literal
 
@@ -56,11 +55,7 @@ def _lazy_support(group: Group):
 
 
 def _gens_support(group: Group):
-    if isinstance(group, S3xZ):
-        gens = [((1, 0, 2), 0), ((2, 1, 0), 0), ((0, 2, 1), 0),
-                ((0, 1, 2), 1), ((0, 1, 2), -1)]
-    else:
-        gens = group.generators()
+    gens = group.generators()
     return [(g, 1.0 / len(gens)) for g in gens]
 
 

@@ -50,19 +50,16 @@ def _uniform_letters(config) -> bool:
     return letters == set(range(d))
 
 
-def _tree_erw_p(config):
-    """Recover the flip probability behind a tree walk config, if it is one."""
+def _tree_erw(config):
+    """(d, alpha, rotate) of an elephant walk on the tree, or None."""
     if not isinstance(config.group, RegularTreeFree):
+        return None
+    if not isinstance(config.transform, (Identity, ErwRotation)):
         return None
     if not _uniform_letters(config):
         return None
-    d = config.group.d
-    if isinstance(config.transform, Identity):
-        # alpha = (d p - 1) / (d - 1) needs p >= 1/d
-        return (config.alpha * (d - 1) + 1) / d
-    if isinstance(config.transform, ErwRotation):
-        return (1 - config.alpha) / d
-    return None
+    return (config.group.d, config.alpha,
+            isinstance(config.transform, ErwRotation))
 
 
 def _fast_curve(config, n_list, target, trials, seed, threads):
@@ -70,11 +67,11 @@ def _fast_curve(config, n_list, target, trials, seed, threads):
     group = config.group
     key = group.canonical_key(target)
     if isinstance(group, RegularTreeFree):
-        p = _tree_erw_p(config)
-        if p is None or key != group.canonical_key(group.identity()):
+        erw = _tree_erw(config)
+        if erw is None or key != group.canonical_key(group.identity()):
             return None
-        return fastpaths.tree_erw_origin_hits(group.d, p, n_list, trials,
-                                              seed, threads=threads)
+        return fastpaths.tree_erw_origin_hits(*erw, n_list, trials, seed,
+                                              threads=threads)
     if not isinstance(config.transform, Identity):
         return None
     sup = _finite_support(config.mu)
@@ -87,13 +84,9 @@ def _fast_curve(config, n_list, target, trials, seed, threads):
                                              n_list, np.asarray(target),
                                              trials, seed, threads=threads)
     if isinstance(group, S3xZ):
-        perms = [fastpaths._S3_INDEX[g[0]] for g, _ in sup]
-        zs = [g[1] for g, _ in sup]
-        return fastpaths.s3z_target_hits(config.alpha, perms, zs, weights,
-                                         n_list,
-                                         fastpaths._S3_INDEX[target[0]],
-                                         target[1], trials, seed,
-                                         threads=threads)
+        return fastpaths.s3z_target_hits(config.alpha, [g for g, _ in sup],
+                                         weights, n_list, target, trials,
+                                         seed, threads=threads)
     if isinstance(group, LamplighterZ):
         if key != group.canonical_key(group.identity()):
             return None
@@ -236,10 +229,9 @@ def mc_ball(config: SrrwConfig, n: int, radius: float, trials: int,
 def mc_escape_rate(config: SrrwConfig, n: int, trials: int, seed: int,
                    threads: int = 1) -> Estimate:
     """Estimate E[d(e, S_n) / n], the normalized escape speed."""
-    p = _tree_erw_p(config)
-    if p is not None:
-        s, s2 = fastpaths.tree_erw_distance_sums(config.group.d, p, n,
-                                                 trials, seed,
+    erw = _tree_erw(config)
+    if erw is not None:
+        s, s2 = fastpaths.tree_erw_distance_sums(*erw, n, trials, seed,
                                                  threads=threads)
         est = mean_estimate(float(s), float(s2), trials)
     else:

@@ -224,20 +224,16 @@ def gaussian_ball_hits(d: int, alpha: float, checkpoints, radius: float,
                                 threads, 22, 1 << 12))
 
 
-def _erw_params(d: int, p: float):
-    if p * d >= 1:
-        return (d * p - 1) / (d - 1), False
-    return 1 - d * p, True
-
-
-def _tree_sums(d: int, p: float, checkpoints, observe, trials: int,
-               seed: int, threads: int, tag: int, chunk: int) -> dict:
+def _tree_sums(d: int, alpha: float, rotate: bool, checkpoints, observe,
+               trials: int, seed: int, threads: int, tag: int,
+               chunk: int) -> dict:
     """Sums of ``observe(depth)`` for the elephant walk on the d-regular tree.
 
+    Steps are uniform letters; a replayed letter is kept with probability
+    alpha, moved to a uniform other letter first when ``rotate`` holds.
     Words live on a per-trial stack of letters; a step either cancels the
     top letter or pushes, so the word length is the stack depth.
     """
-    alpha, rotate = _erw_params(d, p)
     n_max = max(int(c) for c in checkpoints)
     dtype = _code_dtype(d)
 
@@ -266,25 +262,25 @@ def _tree_sums(d: int, p: float, checkpoints, observe, trials: int,
                         hook=rotation if d > 1 else None)
 
 
-def tree_erw_origin_hits(d: int, p: float, checkpoints, trials: int,
-                         seed: int, threads: int = 1) -> dict:
+def tree_erw_origin_hits(d: int, alpha: float, rotate: bool, checkpoints,
+                         trials: int, seed: int, threads: int = 1) -> dict:
     """Counts of returns to the empty word for the elephant walk on the
     d-regular tree, at several horizons in one pass."""
-    return _counts(_tree_sums(d, p, checkpoints,
+    return _counts(_tree_sums(d, alpha, rotate, checkpoints,
                               lambda depth: (depth == 0).sum(), trials, seed,
                               threads, 30, 1 << 17))
 
 
-def tree_erw_distance_sums(d: int, p: float, n: int, trials: int, seed: int,
-                           threads: int = 1) -> tuple:
+def tree_erw_distance_sums(d: int, alpha: float, rotate: bool, n: int,
+                           trials: int, seed: int, threads: int = 1) -> tuple:
     """(sum, sum of squares) of the word distance after n steps."""
 
     def moments(depth):
         dd = depth.astype(np.int64)
         return np.array([dd.sum(), (dd * dd).sum()], dtype=np.int64)
 
-    s, s2 = _tree_sums(d, p, [n], moments, trials, seed, threads, 31,
-                       1 << 15)[n]
+    s, s2 = _tree_sums(d, alpha, rotate, [n], moments, trials, seed, threads,
+                       31, 1 << 15)[n]
     return int(s), int(s2)
 
 
@@ -304,17 +300,18 @@ def _s3_mult_table() -> np.ndarray:
 _S3_MULT = _s3_mult_table()
 
 
-def s3z_target_hits(alpha: float, atom_perms, atom_zs, weights, checkpoints,
-                    target_perm: int, target_z: int, trials: int, seed: int,
-                    threads: int = 1) -> dict:
+def s3z_target_hits(alpha: float, atoms, weights, checkpoints, target,
+                    trials: int, seed: int, threads: int = 1) -> dict:
     """Hit counts of a fixed element of the permutation-times-integers group
     under identity replay, several horizons per pass.
 
-    Atoms are given as (permutation index, integer shift) pairs; the walk
-    state is one permutation index and one integer per trial.
+    Atoms and the target are S3xZ elements, (permutation image tuple,
+    integer) pairs; the walk state is one permutation index and one integer
+    per trial.
     """
-    ap = np.asarray(atom_perms, dtype=np.int8)
-    az = np.asarray(atom_zs, dtype=np.int64)
+    ap = np.array([_S3_INDEX[g[0]] for g in atoms], dtype=np.int8)
+    az = np.array([g[1] for g in atoms], dtype=np.int64)
+    target_perm, target_z = _S3_INDEX[target[0]], target[1]
 
     def start(m):
         perm = np.zeros(m, dtype=np.int8)

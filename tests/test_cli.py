@@ -164,17 +164,23 @@ def test_main_stdout_default(capsysbinary):
 
 
 def test_verify_subcommand_json(tmp_path):
-    out = tmp_path / "verify.json"
-    code = main(["verify", "determinism", "--seed", "1729",
-                 "--out", str(out)])
-    payload = json.loads(out.read_text())
-    assert payload["version"] == VERSION
-    assert payload["seed"] == 1729
-    assert payload["suites"] == ["determinism"]
-    assert payload["pass"] is True
-    assert code == 0
-    names = [r["criterion"] for r in payload["results"]]
-    assert "thread-determinism" in names
+    # evolving-exact computes its verdicts from numpy comparisons
+    for suite, criterion in [("determinism", "thread-determinism"),
+                             ("evolving-exact", "evolving-trajectory-law")]:
+        out = tmp_path / f"{suite}.json"
+        code = main(["verify", suite, "--seed", "1729", "--out", str(out)])
+        payload = json.loads(out.read_text())
+        assert payload["version"] == VERSION
+        assert payload["seed"] == 1729
+        assert payload["suites"] == [suite]
+        assert payload["pass"] is True
+        assert code == 0
+        names = [r["criterion"] for r in payload["results"]]
+        assert criterion in names
+        assert all(r["pass"] is True for r in payload["results"])
+        again = tmp_path / f"{suite}-again.json"
+        main(["verify", suite, "--seed", "1729", "--out", str(again)])
+        assert again.read_bytes() == out.read_bytes()
 
 
 def test_verify_unknown_suite(capsys):

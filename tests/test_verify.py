@@ -1,10 +1,15 @@
-"""The lattice-decay verdict on synthetic curves, with no Monte Carlo.
+"""Verify rows on their own terms: no clock, and the lattice-decay verdict
+on synthetic curves, with no Monte Carlo.
 
-A lattice-decay row passes iff the whole 95% CI of the fitted power-law
-slope of P(S_n = e) lies at or below the row's upper edge.  The curves here
-show that the rule can still fail: a decay too slow for the edge, and a
-curve whose CI straddles the edge although its point slope sits below it.
+A row must read the same, and reach the same verdict, however fast the host
+runs.  A lattice-decay row passes iff the whole 95% CI of the fitted
+power-law slope of P(S_n = e) lies at or below the row's upper edge.  The
+curves here show that the rule can still fail: a decay too slow for the
+edge, and a curve whose CI straddles the edge although its point slope sits
+below it.
 """
+
+import time
 
 import pytest
 
@@ -84,3 +89,24 @@ def test_observed_names_dropped_horizons():
     text = verify.lattice_decay_observed(pts, fit)
     assert "hits 10000/3536/1250/442/156/0 in 1000000 trials" in text
     assert text.endswith("fit used n = 64,128,256,512,1024, dropped 2048")
+
+
+def _rows_under_clock(monkeypatch, step):
+    """Rows of two exact suites while every clock read advances by step."""
+    now = [0.0]
+
+    def tick():
+        now[0] += step
+        return now[0]
+
+    with monkeypatch.context() as m:
+        m.setattr(time, "time", tick)
+        m.setattr(time, "perf_counter", tick)
+        return verify.run_suites(["z2-sandwich", "oracle-agreement"])
+
+
+def test_rows_do_not_depend_on_the_clock(monkeypatch):
+    fast = _rows_under_clock(monkeypatch, 0.01)
+    slow = _rows_under_clock(monkeypatch, 40.0)
+    assert all(r.passed for r in fast + slow)
+    assert [r.as_json() for r in fast] == [r.as_json() for r in slow]
