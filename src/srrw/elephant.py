@@ -54,9 +54,6 @@ class ElephantPoly:
             acc = acc * x + c
         return acc
 
-    def derivative_coeffs(self) -> list:
-        return [i * c for i, c in enumerate(self.coeffs)][1:]
-
 
 def poly_sequence(alpha, n_max: int) -> list:
     """R_1..R_{n_max} by the exact recursion in monomial coefficients.

@@ -6,19 +6,34 @@ column operations, one row per trial.  All of them share one replay kernel,
 ``_replay_columns``, and differ only in a small per-chunk state: how a step
 column moves the positions, and what is counted at a checkpoint.
 
-Draw protocol.  Work is cut into fixed-size chunks, and chunk c of a run
-draws every number from the stream (seed, tag, c), in this order:
+Draw protocol.  Work is cut into chunks, and chunk c of a run draws every
+number from the stream (seed, tag, c).  Each step j draws exactly one
+uniform per row, ``v = rng.random(m)``, and that v decides the whole step:
 
-- step 1: a fresh column;
-- step j >= 2: ``u = rng.integers(0, j-1, m)`` picks a past step per row
-  and its code is gathered; the engine's replay hook, if any, transforms it
-  (the tree's rotation draws ``rng.integers(1, d, m)`` here whenever d > 1,
-  rotating or not); then a fresh column; then ``keep = rng.random(m) <
-  alpha``.  Step j is the replayed code where ``keep`` holds and the fresh
-  one elsewhere.
+- step 1 is fresh, and its atom comes from v;
+- at step j >= 2, a row with v < alpha replays step ``1 + floor(x)`` with
+  ``x = v / alpha * (j - 1)``, uniform on 1..j-1 given v < alpha; the
+  engine's replay hook, if any, transforms the replayed code from x (the
+  tree's rotation shift is ``1 + floor(x * (d - 1)) mod (d - 1)``, which
+  reads only the fractional part of x and so is independent of the pick);
+- a row with v >= alpha is fresh, and its atom comes from
+  ``(v - alpha) / (1 - alpha)``, uniform on [0, 1) given v >= alpha.
 
-Results are merged in chunk order, so counts are identical for any thread
-count and any scheduling.  Changing this order changes every count.
+A fresh uniform w picks slot ``floor(w * Q)`` of a Q-slot table when every
+weight is a multiple of 1/Q for a small Q (the lazy lattice has Q = 12, the
+lamplighter Q = 4, a uniform law Q = #atoms), and is inverted through the
+cumulative weights otherwise.  The Gaussian engine ignores w and draws
+``rng.standard_normal`` for its fresh rows only, after v.  At alpha = 0
+nothing is replayed and at alpha = 1 nothing is fresh, so neither edge
+divides by zero.  The forest's attachments (``forest._attachments``) use the
+same rule: one uniform keeps the edge and picks its target.
+
+Step codes are stored step-major, (n, m), in the smallest unsigned dtype
+that holds them, and a chunk holds at most ``_CODE_BUDGET`` bytes of them;
+a longer horizon runs in smaller chunks, and one that does not fit a single
+trial raises.  Results are merged in chunk order, so counts are identical
+for any thread count and any scheduling.  Changing this protocol changes
+every count.
 
 Everything here returns integer counts (or integer sums); turning counts into
 estimates with intervals happens one level up.
@@ -26,12 +41,20 @@ estimates with intervals happens one level up.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import forest
 from . import rng as rngmod
+
+# Bytes of step codes one chunk may hold: 2^16 trials x 1024 one-byte steps.
+_CODE_BUDGET = 64 << 20
+# Largest slot table a finite law is looked up in; beyond it, searchsorted.
+_MAX_SLOTS = 1024
 
 
 def _chunks(trials: int, chunk: int):
@@ -57,41 +80,63 @@ def _code_dtype(atoms: int):
     return np.min_scalar_type(max(atoms - 1, 0))
 
 
-def _atom_law(weights):
-    """(fresh, dtype) for a finite step law: one uniform per row, inverted
-    through the cumulative weights, gives the atom's code."""
-    cum = np.cumsum(np.asarray(weights, dtype=float))
-    return ((lambda rng, m: np.searchsorted(cum, rng.random(m), side="right")),
-            _code_dtype(len(cum)))
+class _Law(NamedTuple):
+    """A fresh-step law: ``fresh(rng, w)`` maps uniforms w in [0, 1) to one
+    step each, stored as ``dtype`` with per-step shape ``row``."""
+
+    fresh: Callable
+    dtype: object
+    row: tuple = ()
 
 
-def _replay_columns(rng, m: int, n: int, alpha: float, law, hook=None):
+def _atom_law(weights) -> _Law:
+    """Atom codes of a finite step law, one uniform per step.
+
+    If every weight is a multiple of 1/Q for some Q <= ``_MAX_SLOTS``, atom
+    a fills Q * w_a consecutive slots of a Q-slot table and w picks slot
+    floor(w * Q); otherwise w is inverted through the cumulative weights.
+    Either way atom a comes out with probability w_a.
+    """
+    w = np.asarray(weights, dtype=float)
+    dtype = _code_dtype(len(w))
+    frac = [Fraction(x).limit_denominator(_MAX_SLOTS) for x in w.tolist()]
+    q = math.lcm(*(f.denominator for f in frac))
+    if (q <= _MAX_SLOTS and sum(frac) == 1
+            and all(abs(f - x) <= 1e-12 for f, x in zip(frac, w.tolist()))):
+        slots = np.repeat(np.arange(len(w), dtype=dtype),
+                          [int(f * q) for f in frac])
+        return _Law(lambda rng, u: np.take(slots, (u * q).astype(np.intp),
+                                           mode="clip"), dtype)
+    cum = np.cumsum(w)
+    cum = cum[:-1] / cum[-1]
+    return _Law(lambda rng, u: np.searchsorted(cum, u, side="right")
+                .astype(dtype), dtype)
+
+
+def _replay_columns(rng, m: int, n: int, alpha: float, law: _Law, hook=None):
     """Yield (j, column) for j = 1..n in the module's draw protocol.
 
-    ``law`` is ``(fresh, dtype)``: ``fresh(rng, m)`` draws m fresh steps
-    (codes, or rows of coordinates) and ``dtype`` stores them.
-    ``hook(rng, past)`` transforms the replayed codes.
+    ``hook(past, x)`` transforms the replayed codes, given the position
+    x = v / alpha * (j - 1) of each replaying row's pick.
     """
-    fresh, dtype = law
-    col = fresh(rng, m).astype(dtype, copy=False)
-    codes = np.empty((m, n) + col.shape[1:], dtype=dtype)
-    codes[:, 0] = col
-    yield 1, col
-    rows = np.arange(m)
-    for j in range(2, n + 1):
-        past = codes[rows, rng.integers(0, j - 1, size=m)]
-        if hook is not None:
-            past = hook(rng, past)
-        new = fresh(rng, m).astype(dtype, copy=False)
-        keep = rng.random(m) < alpha
-        if new.ndim > 1:
-            keep = keep[:, None]
-        col = np.where(keep, past, new)
-        codes[:, j - 1] = col
+    codes = np.empty((n, m) + law.row, dtype=law.dtype)
+    flat = codes.reshape((n * m,) + law.row)
+    codes[0] = law.fresh(rng, rng.random(m))
+    yield 1, codes[0]
+    for j, v, kept, past in forest._attachments(n, alpha, m, rng):
+        col = codes[j - 1]
+        new = np.flatnonzero(v >= alpha)
+        if new.size:
+            col[new] = law.fresh(rng, (v[new] - alpha) / (1 - alpha))
+        if kept.size:
+            src = flat[past * m + kept]
+            if hook is not None:
+                src = hook(src, v[kept] * ((j - 1) / alpha))
+            col[kept] = src
         yield j, col
 
 
-def _replay_sums(law, alpha: float, checkpoints, start, trials: int,
+def _replay_sums(law: _Law, alpha: float, checkpoints, start, trials: int,
                  seed: int, threads: int, tag: int, chunk: int,
                  hook=None) -> dict:
     """{checkpoint: observation summed over all trials}, in one pass.
@@ -99,9 +144,15 @@ def _replay_sums(law, alpha: float, checkpoints, start, trials: int,
     ``start(m)`` builds the state of a chunk of m trials and returns its
     ``(apply, observe)`` pair: ``apply(col)`` takes one step column and
     ``observe()`` counts (or sums) over the chunk's current positions.
+    Chunks hold at most ``chunk`` trials and ``_CODE_BUDGET`` bytes of codes.
     """
     cps = sorted(set(int(c) for c in checkpoints))
     marks = set(cps)
+    per_trial = cps[-1] * np.dtype(law.dtype).itemsize * math.prod(law.row)
+    if per_trial > _CODE_BUDGET:
+        raise ValueError(f"{cps[-1]} steps need {per_trial} bytes of codes "
+                         f"per trial, over the {_CODE_BUDGET}-byte budget")
+    chunk = min(chunk, _CODE_BUDGET // per_trial)
 
     def worker(ci: int, m: int) -> np.ndarray:
         rng = rngmod.stream(seed, tag, ci)
@@ -133,11 +184,10 @@ def cyclic_histogram(L: int, alpha: float, atoms, weights, n: int,
     atoms = np.asarray(atoms, dtype=np.int64)
     law = _atom_law(weights)
     if via_forest:
-        fresh = law[0]
 
         def worker(ci: int, m: int) -> np.ndarray:
             rng = rngmod.stream(seed, 11, ci)
-            vals = atoms[fresh(rng, m * n).reshape(m, n)]
+            vals = atoms[law.fresh(rng, rng.random(m * n)).reshape(m, n)]
             root = forest._root_matrix(n, alpha, m, rng)
             pos = np.take_along_axis(vals, root[:, 1:] - 1, axis=1).sum(axis=1)
             return np.bincount(pos % L, minlength=L)
@@ -157,27 +207,82 @@ def cyclic_histogram(L: int, alpha: float, atoms, weights, n: int,
                         1 << 16)[n]
 
 
-def _lattice_hits(disps, weights, alpha, checkpoints, inside, trials, seed,
-                  threads, tag) -> dict:
-    """Counts of rows whose lattice position is ``inside`` at each horizon."""
+def _lattice_hits(disps, weights, alpha, checkpoints, target, radius,
+                  trials, seed, threads, tag) -> dict:
+    """Counts of rows at ``target``, or else inside the Euclidean ball of
+    ``radius``, at each horizon.
+
+    A target coordinate beyond the walk's reach has 0 hits.  While the reach
+    fits ``_pack_bits``, a position is packed into one int64, so a step is
+    one add and a target test one compare; otherwise it is a row of d int64
+    coordinates.  Both hold the same positions from the same draws, so the
+    counts do not depend on the choice.
+    """
     disps = np.asarray(disps, dtype=np.int64)
+    d = disps.shape[1]
+    n = max(int(c) for c in checkpoints)
+    reach = [n * int(r) for r in np.abs(disps).max(axis=0)]
+    if target is not None and any(abs(int(t)) > r
+                                  for t, r in zip(target, reach)):
+        return {int(c): 0 for c in checkpoints}
+    if max(reach) >= 1 << 63:
+        raise ValueError(f"lattice coordinates over {n} steps could leave "
+                         f"int64")
+    bits = _pack_bits(max(reach), d)
+    if bits is None:
+        step, row, tgt = disps, (d,), target
+    else:
+        step, row = np.array(_pack(disps.tolist(), bits), dtype=np.int64), ()
+        tgt = None if target is None else _pack([target], bits)[0]
+
+    def observe(pos):
+        if target is None:
+            coords = pos.T if bits is None else _unpack(pos, d, bits)
+            return _in_ball(coords, radius).sum()
+        hit = pos == tgt
+        return (hit if bits is not None else hit.all(axis=1)).sum()
 
     def start(m):
-        pos = np.zeros((m, disps.shape[1]), dtype=np.int64)
+        pos = np.zeros((m,) + row, dtype=np.int64)
 
         def apply(col):
             nonlocal pos
-            pos += disps[col]
+            pos += step.take(col, axis=0)
 
-        return apply, lambda: inside(pos).sum()
+        return apply, lambda: observe(pos)
 
     return _counts(_replay_sums(_atom_law(weights), alpha, checkpoints, start,
                                 trials, seed, threads, tag, 1 << 16))
 
 
-def _in_ball(radius: float):
-    r2 = radius * radius
-    return lambda pos: (pos * pos).sum(axis=1) < r2
+def _pack_bits(reach: int, d: int):
+    """Bits per coordinate that pack d coordinates of absolute value at most
+    ``reach`` into one int64, or None when they do not fit."""
+    bits = reach.bit_length() + 1
+    return bits if d * bits <= 64 else None
+
+
+def _pack(rows, bits: int) -> list:
+    """Integer vectors as sums x_i * 2^(bits * i): one int64 each, exact
+    and one-to-one while every |x_i| < 2^(bits - 1)."""
+    return [sum(int(x) << (bits * i) for i, x in enumerate(r)) for r in rows]
+
+
+def _unpack(pos: np.ndarray, d: int, bits: int) -> list:
+    """Coordinate arrays of packed positions, lowest coordinate first."""
+    if d == 1:
+        return [pos]
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out = []
+    for _ in range(d):
+        x = ((pos + half) & mask) - half
+        out.append(x)
+        pos = (pos - x) >> bits
+    return out
+
+
+def _in_ball(coords, radius: float) -> np.ndarray:
+    return sum(x.astype(np.float64) ** 2 for x in coords) < radius * radius
 
 
 def lattice_target_hits(disps: np.ndarray, weights, alpha: float,
@@ -190,25 +295,24 @@ def lattice_target_hits(disps: np.ndarray, weights, alpha: float,
     horizon, so the per-horizon counts share trials (fine for point
     estimates, deliberate for the runtime budget).
     """
-    tgt = np.asarray(target, dtype=np.int64)
     return _lattice_hits(disps, weights, alpha, checkpoints,
-                         lambda pos: (pos == tgt).all(axis=1), trials, seed,
-                         threads, 20)
+                         np.asarray(target, dtype=np.int64).tolist(), None,
+                         trials, seed, threads, 20)
 
 
 def lattice_ball_hits(disps: np.ndarray, weights, alpha: float, checkpoints,
                       radius: float, trials: int, seed: int,
                       threads: int = 1) -> dict:
     """Counts of |position| < radius (Euclidean norm) at several horizons."""
-    return _lattice_hits(disps, weights, alpha, checkpoints, _in_ball(radius),
+    return _lattice_hits(disps, weights, alpha, checkpoints, None, radius,
                          trials, seed, threads, 21)
 
 
 def gaussian_ball_hits(d: int, alpha: float, checkpoints, radius: float,
                        trials: int, seed: int, threads: int = 1) -> dict:
     """Counts of |position| < radius for standard-normal steps with identity
-    replay in d continuous coordinates."""
-    inside = _in_ball(radius)
+    replay in d continuous coordinates; normals are drawn for fresh rows
+    only."""
 
     def start(m):
         pos = np.zeros((m, d), dtype=np.float64)
@@ -217,9 +321,10 @@ def gaussian_ball_hits(d: int, alpha: float, checkpoints, radius: float,
             nonlocal pos
             pos += col
 
-        return apply, lambda: inside(pos).sum()
+        return apply, lambda: _in_ball(pos.T, radius).sum()
 
-    law = (lambda rng, m: rng.standard_normal((m, d))), np.float64
+    law = _Law(lambda rng, u: rng.standard_normal((len(u), d)), np.float64,
+               (d,))
     return _counts(_replay_sums(law, alpha, checkpoints, start, trials, seed,
                                 threads, 22, 1 << 12))
 
@@ -231,35 +336,35 @@ def _tree_sums(d: int, alpha: float, rotate: bool, checkpoints, observe,
 
     Steps are uniform letters; a replayed letter is kept with probability
     alpha, moved to a uniform other letter first when ``rotate`` holds.
-    Words live on a per-trial stack of letters; a step either cancels the
-    top letter or pushes, so the word length is the stack depth.
+    Words live on a per-trial stack of letters, step-major, above a bottom
+    row that matches no letter; a step either cancels the top letter or
+    pushes, so the word length is the stack depth.
     """
     n_max = max(int(c) for c in checkpoints)
-    dtype = _code_dtype(d)
 
-    def rotation(rng, past):
-        shift = rng.integers(1, d, size=len(past))
-        return (past + shift) % d if rotate else past
+    def rotation(past, x):
+        return (past + 1 + (x * (d - 1)).astype(np.intp) % (d - 1)) % d
 
     def start(m):
         rows = np.arange(m)
-        stack = np.zeros((m, n_max + 1), dtype=dtype)
-        depth = np.zeros(m, dtype=np.int32)
+        stack = np.full((n_max + 2) * m, d, dtype=_code_dtype(d + 1))
+        depth = np.zeros(m, dtype=np.intp)
 
         def apply(letter):
             nonlocal depth
-            top = stack[rows, np.maximum(depth - 1, 0)]
-            cancel = (depth > 0) & (top == letter)
-            depth = depth + np.where(cancel, -1, 1)
-            push = ~cancel
-            stack[rows[push], depth[push] - 1] = letter[push]
+            top = depth * m + rows
+            cancel = stack[top] == letter
+            # written above the top: a push keeps it, a cancel leaves it
+            # above the new top, where nothing reads it
+            stack[top + m] = letter
+            depth += 1
+            depth -= 2 * cancel
 
         return apply, lambda: observe(depth)
 
-    law = (lambda rng, m: rng.integers(0, d, size=m)), dtype
-    return _replay_sums(law, alpha, checkpoints, start, trials, seed,
-                        threads, tag, chunk,
-                        hook=rotation if d > 1 else None)
+    return _replay_sums(_atom_law([1.0 / d] * d), alpha, checkpoints, start,
+                        trials, seed, threads, tag, chunk,
+                        hook=rotation if rotate and d > 1 else None)
 
 
 def tree_erw_origin_hits(d: int, alpha: float, rotate: bool, checkpoints,

@@ -174,12 +174,24 @@ def cluster_size_walk(alpha: float, n: int, rng_seed,
 
 
 def _attachments(n: int, alpha: float, trials: int, rng):
-    """Yield (j, u, keep) for vertices j = 2..n of ``trials`` forests at once:
-    the attachment targets, uniform on 1..j-1, are drawn first, then whether
-    each new edge is kept."""
+    """Yield (j, v, kept, past) for vertices j = 2..n of ``trials`` forests
+    at once.
+
+    One uniform v per forest decides vertex j: its edge is kept iff
+    v < alpha, and a kept edge attaches to vertex past + 1, where
+    past = floor(v / alpha * (j - 1)) is uniform on 0..j-2 given v < alpha.
+    ``kept`` lists the rows that keep their edge and ``past`` their picks;
+    nothing is computed for the other rows.  The replay engines read the
+    same draw as the walk's step j (``fastpaths``).
+    """
     for j in range(2, n + 1):
-        u = rng.integers(1, j, size=trials)
-        yield j, u, rng.random(trials) < alpha
+        v = rng.random(trials)
+        kept = np.flatnonzero(v < alpha)
+        past = kept
+        if kept.size:
+            past = (v[kept] * ((j - 1) / alpha)).astype(np.intp)
+            np.minimum(past, j - 2, out=past)  # v / alpha can round up to 1
+        yield j, v, kept, past
 
 
 def _root_matrix(n: int, alpha: float, trials: int, rng) -> np.ndarray:
@@ -190,9 +202,9 @@ def _root_matrix(n: int, alpha: float, trials: int, rng) -> np.ndarray:
     """
     root_of = np.zeros((trials, n + 1), dtype=np.int32)
     root_of[:, 1] = 1
-    rows = np.arange(trials)
-    for j, u, keep in _attachments(n, alpha, trials, rng):
-        root_of[:, j] = np.where(keep, root_of[rows, u], j)
+    for j, _, kept, past in _attachments(n, alpha, trials, rng):
+        root_of[:, j] = j
+        root_of[kept, j] = root_of[kept, past + 1]
     return root_of
 
 
@@ -236,10 +248,9 @@ def isolated_counts_batch(n: int, alpha: float, trials: int, rng) -> np.ndarray:
     """
     own_dropped = np.ones((trials, n + 1), dtype=bool)
     has_kept_child = np.zeros((trials, n + 1), dtype=bool)
-    rows = np.arange(trials)
-    for j, u, keep in _attachments(n, alpha, trials, rng):
-        own_dropped[:, j] = ~keep
-        has_kept_child[rows[keep], u[keep]] = True
+    for j, _, kept, past in _attachments(n, alpha, trials, rng):
+        own_dropped[kept, j] = False
+        has_kept_child[kept, past + 1] = True
     return (own_dropped[:, 1:] & ~has_kept_child[:, 1:]).sum(axis=1)
 
 

@@ -20,7 +20,6 @@ first, so ``(12)*(13) = (123)``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from collections import deque

@@ -57,9 +57,6 @@ class ExactDistribution:
     def prob(self, key) -> float:
         return float(self.mass.get(key, 0))
 
-    def as_floats(self) -> dict:
-        return {k: float(p) for k, p in self.mass.items()}
-
 
 def element_power(group: Group, g, s: int):
     out = group.identity()

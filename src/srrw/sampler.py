@@ -14,7 +14,6 @@ d-letter alphabet (identity transform for p >= 1/d, cyclic rotation below).
 from __future__ import annotations
 
 import ast
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

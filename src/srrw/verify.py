@@ -167,7 +167,8 @@ def suite_lambda_bounds(seed: int = DEFAULT_SEED, threads: int = 1):
     return [CriterionResult(
         criterion="lambda-bounds",
         expected="0 violations for n <= 200, all k, alpha in {0, 0.1..0.9, 1}",
-        observed=f"{violations} violations over {checked} entries",
+        observed=(f"{violations} violations over {checked} entries, "
+                  f"min slack {worst:.3e}"),
         tolerance="1e-12 in log domain",
         passed=violations == 0)]
 

@@ -2,11 +2,13 @@
 oracles, plus scheduling invariance of the chunked accumulators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from srrw import verify
+from srrw import fastpaths, verify
+from srrw import rng as rngmod
 from srrw.estimators import (ball_curve, mc_escape_rate, mc_histogram,
                              mc_point_mass, point_mass_curve)
 from srrw.fastpaths import _chunk_map, _chunks
@@ -242,3 +244,189 @@ def test_engine_reproducibility_same_seed():
     c = mc_point_mass(cfg, 16, (0, 0, 0), 8000, 100)
     assert a.value == b.value
     assert a.value != c.value or a.trials != c.trials
+
+
+class _CountingRng:
+    """A generator that logs the name of every method called on it."""
+
+    def __init__(self, rng, log):
+        self._rng, self._log = rng, log
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            self._log.append(name)
+            return method(*args, **kwargs)
+
+        return call
+
+
+def _engine_calls(n):
+    lazy = verify.lazy_lattice_config(3)
+    disps = np.array([g for g, _ in lazy.mu.support], dtype=np.int64)
+    weights = [w for _, w in lazy.mu.support]
+    gens = S3xZ().generators()
+    return {
+        "cyclic": lambda th: fastpaths.cyclic_histogram(
+            5, 0.6, [1, 4], [0.5, 0.5], n, 250, SEED, th).tolist(),
+        "lattice": lambda th: fastpaths.lattice_target_hits(
+            disps, weights, 0.5, [2, n], (0, 0, 0), 250, SEED, th),
+        "lattice-ball": lambda th: fastpaths.lattice_ball_hits(
+            disps, weights, 0.5, [2, n], 1.5, 250, SEED, th),
+        "gaussian": lambda th: fastpaths.gaussian_ball_hits(
+            2, 0.5, [2, n], 1.0, 250, SEED, th),
+        "tree": lambda th: fastpaths.tree_erw_origin_hits(
+            3, 0.4, True, [2, n], 250, SEED, th),
+        "tree-distance": lambda th: fastpaths.tree_erw_distance_sums(
+            3, 0.4, True, n, 250, SEED, th),
+        "s3z": lambda th: fastpaths.s3z_target_hits(
+            0.5, gens, [1 / len(gens)] * len(gens), [2, n],
+            S3xZ().identity(), 250, SEED, th),
+        "lamplighter": lambda th: fastpaths.lamplighter_origin_hits(
+            0.4, [0.25] * 4, [2, n], 250, SEED, th),
+    }
+
+
+def test_every_engine_draws_one_uniform_per_step(monkeypatch):
+    # a budget of 40 steps x 100 trials forces chunks of at most 100 rows
+    # (6 rows for the Gaussian engine's 16-byte steps)
+    n = 40
+    monkeypatch.setattr(fastpaths, "_CODE_BUDGET", 100 * n)
+    real = rngmod.stream
+    for name, run in _engine_calls(n).items():
+        logs = []
+
+        def stream(*key, _logs=logs):
+            _logs.append([])
+            return _CountingRng(real(*key), _logs[-1])
+
+        monkeypatch.setattr(rngmod, "stream", stream)
+        run(1)
+        assert len(logs) >= 3, name
+        for log in logs:
+            assert log.count("random") == n, name
+            assert set(log) <= {"random", "standard_normal"}, name
+
+
+def test_over_budget_codes_run_in_smaller_chunks(monkeypatch):
+    n = 40
+    monkeypatch.setattr(fastpaths, "_CODE_BUDGET", 100 * n)
+    for name, run in _engine_calls(n).items():
+        assert run(2) == run(1), name
+    # not even one trial's codes fit
+    monkeypatch.setattr(fastpaths, "_CODE_BUDGET", n - 1)
+    for name, run in _engine_calls(n).items():
+        with pytest.raises(ValueError):
+            run(1)
+
+
+def test_lattice_positions_past_the_packing_limit():
+    # d coordinates of |x| <= reach pack into one int64 while d * bits <= 64
+    assert fastpaths._pack_bits((1 << 20) - 1, 3) == 21
+    assert fastpaths._pack_bits(1 << 20, 3) is None
+    assert fastpaths._pack_bits((1 << 15) - 1, 4) == 16
+    assert fastpaths._pack_bits(1 << 15, 4) is None
+    assert fastpaths._pack_bits(0, 65) is None
+    # steps of 2^15 in d = 3 pack up to n = 31 and take rows of coordinates
+    # from n = 32; the draws do not depend on the horizon, so the counts at
+    # the shared horizons agree across the two representations
+    big = 1 << 15
+    d3 = np.array([[big, 0, 0], [-big, 0, 0], [0, 0, 1]], dtype=np.int64)
+    w = [0.25, 0.25, 0.5]
+    for run in (
+            lambda cps: fastpaths.lattice_target_hits(d3, w, 0.5, cps,
+                                                      (0, 0, 2), 3000, SEED),
+            lambda cps: fastpaths.lattice_ball_hits(d3, w, 0.5, cps, 3.0,
+                                                    3000, SEED)):
+        packed, rows = run([2, 31]), run([2, 31, 32])
+        assert packed[2] > 0
+        assert rows == {**packed, 32: rows[32]}
+    # a target beyond reach is never hit, however far it is; (32, -1, 0)
+    # packs like the origin in the 5 bits that unit steps to n = 10 need
+    unit = np.vstack([np.eye(3, dtype=np.int64), -np.eye(3, dtype=np.int64)])
+    for target in ((32, -1, 0), (10 ** 6, 0, 0), (-(1 << 40), 0, 0)):
+        assert fastpaths.lattice_target_hits(unit, [1 / 6] * 6, 0.5, [2, 10],
+                                             target, 1000, SEED) == {2: 0,
+                                                                     10: 0}
+    # at alpha = 1 every step repeats the first, so S_256 = +-256 e_i, which
+    # 8 bits per coordinate in Z^8 would read as a neighbour of the origin
+    unit8 = np.vstack([np.eye(8, dtype=np.int64), -np.eye(8, dtype=np.int64)])
+    assert fastpaths.lattice_ball_hits(unit8, [1 / 16] * 16, 1.0, [1, 256],
+                                       1.5, 1000, SEED) == {1: 1000, 256: 0}
+    with pytest.raises(ValueError):
+        fastpaths.lattice_target_hits(d3 << 40, w, 0.5, [2, 1 << 8],
+                                      (0, 0, 0), 10, SEED)
+
+
+def test_lattice_engine_past_the_packing_limit_vs_generic_sampler():
+    # Z^8 to n = 256 needs 10 bits per coordinate, too many for one int64;
+    # IidSign(1.0) keeps the law but takes the per-trial route
+    cfg = lattice_cfg(8, 0.3)
+    slow = SrrwConfig(group=cfg.group, alpha=cfg.alpha, mu=cfg.mu,
+                      transform=IidSign(1.0))
+    (_, fast), = ball_curve(cfg, [256], 25.0, 1500, SEED)
+    (_, ref), = ball_curve(slow, [256], 25.0, 1500, SEED + 1)
+    assert 0.2 < ref.value < 0.8
+    assert abs(fast.value - ref.value) < 4 * math.hypot(fast.stderr,
+                                                         ref.stderr)
+
+
+def test_pack_round_trip_at_the_edges():
+    rng = np.random.default_rng(SEED)
+    for d in (1, 2, 3, 4, 7):
+        bits = 64 // d
+        edge = (1 << (bits - 1)) - 1
+        pts = rng.integers(-edge, edge, size=(200, d), endpoint=True)
+        pts[:2 * d] = 0
+        for i in range(d):
+            pts[2 * i, i], pts[2 * i + 1, i] = edge, -edge
+        packed = np.array(fastpaths._pack(pts.tolist(), bits), dtype=np.int64)
+        coords = fastpaths._unpack(packed, d, bits)
+        assert np.array_equal(np.stack(coords, axis=1), pts)
+
+
+def test_tree_engine_vs_exact_at_even_horizons():
+    # a tree walk is never back at e after an odd number of steps, so only
+    # even horizons show its law; p < 1/3 rotates replayed letters
+    for p in (0.1, 0.2, 0.8):
+        cfg = erw_config(3, p)
+        e = cfg.group.identity()
+        for n, est in point_mass_curve(cfg, [2, 4, 6], e, 40000, SEED):
+            exact = exact_distribution(cfg, n).prob(cfg.group.canonical_key(e))
+            assert abs(z_score(est, exact)) < 4
+
+
+def test_alpha_edges_give_the_exact_law():
+    lazy = verify.lazy_lattice_config(1)
+    cases = [(lazy, 0.0, (0,)), (lazy, 1.0, (0,)), (lazy, 1.0, (6,)),
+             (erw_config(3, 0.0), None, ()),        # alpha = 1, rotation
+             (erw_config(3, 1 / 3), None, ())]      # alpha = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cfg, alpha, target in cases:
+            if alpha is not None:
+                cfg = SrrwConfig(group=cfg.group, alpha=alpha, mu=cfg.mu)
+            g = cfg.group
+            dist = exact_distribution(cfg, 6)
+            est = mc_point_mass(cfg, 6, target, 40000, SEED)
+            assert abs(z_score(est, dist.prob(g.canonical_key(target)))) < 4
+        # alpha = 1 without rotation repeats one letter: back at e on even n
+        assert fastpaths.tree_erw_origin_hits(3, 1.0, False, [1, 2, 3, 4],
+                                              1000, SEED) == {
+            1: 0, 2: 1000, 3: 0, 4: 1000}
+
+
+def test_slot_table_and_searchsorted_agree(monkeypatch):
+    u = rngmod.stream(SEED, 1).random(100000)
+    weights = [0.5, 0.25, 1 / 12, 1 / 6]
+    table = fastpaths._atom_law(weights).fresh(None, u)
+    monkeypatch.setattr(fastpaths, "_MAX_SLOTS", 1)
+    assert np.array_equal(fastpaths._atom_law(weights).fresh(None, u), table)
+    monkeypatch.undo()
+    # no Q <= _MAX_SLOTS makes these weights multiples of 1/Q
+    g = CycleZL(3)
+    cfg = SrrwConfig(group=g, alpha=0.5, mu=StepDistribution(
+        support=[(0, 0.5), (1, 0.3141), (2, 0.1859)]))
+    assert tv_distance(mc_histogram(cfg, 6, 60000, SEED),
+                       exact_distribution(cfg, 6)) < 0.01
