@@ -17,14 +17,9 @@ ALPHA = 0.5
 
 
 def lazy_walk(d):
-    sup = [(tuple([0] * d), 0.5)]
-    for i in range(d):
-        for s in (1, -1):
-            v = [0] * d
-            v[i] = s
-            sup.append((tuple(v), 0.25 / d))
-    return SrrwConfig(group=IntegerLatticeZd(d), alpha=ALPHA,
-                      mu=StepDistribution(support=sup))
+    group = IntegerLatticeZd(d)
+    return SrrwConfig(group=group, alpha=ALPHA,
+                      mu=StepDistribution.lazy(group))
 
 
 def decay_slopes(trials=100_000):

@@ -18,7 +18,6 @@ from .groups import (
     S3xZ,
     StepDistribution,
     group_from_literal,
-    group_literal,
     is_class_function,
     bfs_ball,
     OutOfEnumeratedBallError,
@@ -38,7 +37,6 @@ from .sampler import (
     draw_step,
     next_step_distribution,
     transform_from_literal,
-    transform_literal,
 )
 from .forest import (
     PercolatedForest,
@@ -46,8 +44,6 @@ from .forest import (
     grow,
     clusters,
     assign_and_assemble,
-    cluster_size_walk,
-    isolated_count,
     isolated_counts_batch,
     all_clusters_even_probability,
 )
@@ -88,7 +84,6 @@ from .evolving import (
     psi_profile,
     transition_via_evolving_sets,
     set_tree,
-    reverse_kernels,
 )
 from .stats import Estimate, binomial_estimate, mean_estimate, wilson_interval
 from .estimators import (
@@ -102,7 +97,6 @@ from .estimators import (
     rate_fit,
     IsolatedTail,
     isolated_tail_check,
-    class_function_decay,
 )
 from .reports import config_hash, csv_bytes, parse_csv, json_bytes, VERSION
 from .verify import CriterionResult, run_suites, SUITES
@@ -113,15 +107,15 @@ __all__ = [
     "stream", "as_generator",
     "Group", "Z2", "CycleZL", "IntegerLatticeZd", "EuclideanRd",
     "RegularTreeFree", "LamplighterZ", "S3xZ", "StepDistribution",
-    "group_from_literal", "group_literal", "is_class_function", "bfs_ball",
+    "group_from_literal", "is_class_function", "bfs_ball",
     "OutOfEnumeratedBallError",
     "SrrwConfig", "WalkTrace", "Transform", "Identity", "Negation",
     "IidSign", "EchoLawLinear", "ErwRotation", "HistoryDependent",
     "sample_walk", "erw_config", "draw_step", "next_step_distribution",
-    "transform_from_literal", "transform_literal",
+    "transform_from_literal",
     "PercolatedForest", "ClusterStats", "grow", "clusters",
-    "assign_and_assemble", "cluster_size_walk", "isolated_count",
-    "isolated_counts_batch", "all_clusters_even_probability",
+    "assign_and_assemble", "isolated_counts_batch",
+    "all_clusters_even_probability",
     "ElephantPoly", "LambdaTable", "poly_sequence", "lambda_table",
     "lambda_bounds_check", "eval_stable", "signed_position_law",
     "z2_return_gap", "z2_return_gap_bounds", "cycle_distribution",
@@ -131,12 +125,12 @@ __all__ = [
     "MuStep", "DeterministicStep", "KernelSeq", "kernel_seq_from_forest",
     "threshold_pieces", "martingale_defect", "evolve_step", "doob_step",
     "psi", "bottleneck", "iso_profile", "psi_profile",
-    "transition_via_evolving_sets", "set_tree", "reverse_kernels",
+    "transition_via_evolving_sets", "set_tree",
     "Estimate", "binomial_estimate", "mean_estimate", "wilson_interval",
     "point_mass_curve", "mc_point_mass", "mc_histogram",
     "ball_curve", "mc_ball", "mc_escape_rate",
     "DecayFit", "rate_fit",
-    "IsolatedTail", "isolated_tail_check", "class_function_decay",
+    "IsolatedTail", "isolated_tail_check",
     "config_hash", "csv_bytes", "parse_csv", "json_bytes",
     "CriterionResult", "run_suites", "SUITES",
     "VERSION",

@@ -23,40 +23,14 @@ from .estimators import ball_curve, point_mass_curve
 from .evolving import (doob_step, iso_profile, kernel_seq_from_forest,
                        psi_profile)
 from .forest import assign_and_assemble, grow
-from .groups import (CycleZL, EuclideanRd, Group, IntegerLatticeZd,
-                     LamplighterZ, StepDistribution, Z2, group_from_literal)
+from .groups import (CycleZL, EuclideanRd, Group, StepDistribution, Z2,
+                     group_from_literal)
 from .oracle import exact_distribution
 from .sampler import SrrwConfig, transform_from_literal
 
 
 class CliError(Exception):
     """Raised with a user-facing message naming the offending field."""
-
-
-def _lazy_support(group: Group):
-    if isinstance(group, Z2):
-        return [(0, 0.5), (1, 0.5)]
-    if isinstance(group, CycleZL):
-        return [(0, 0.5), (1 % group.L, 0.25), ((group.L - 1) % group.L, 0.25)]
-    if isinstance(group, IntegerLatticeZd):
-        d = group.d
-        sup = [(tuple([0] * d), 0.5)]
-        for i in range(d):
-            for s in (1, -1):
-                v = [0] * d
-                v[i] = s
-                sup.append((tuple(v), 1.0 / (4 * d)))
-        return sup
-    if isinstance(group, LamplighterZ):
-        e = (frozenset(), 0)
-        return [(e, 0.25), ((frozenset([0]), 0), 0.25),
-                ((frozenset(), 1), 0.25), ((frozenset(), -1), 0.25)]
-    raise CliError(f"no lazy shorthand for group {group.variant}")
-
-
-def _gens_support(group: Group):
-    gens = group.generators()
-    return [(g, 1.0 / len(gens)) for g in gens]
 
 
 def mu_from_cli(text: str, group: Group) -> StepDistribution:
@@ -69,9 +43,9 @@ def mu_from_cli(text: str, group: Group) -> StepDistribution:
     """
     text = text.strip()
     if text == "lazy":
-        return StepDistribution(support=_lazy_support(group)).validate(group)
+        return StepDistribution.lazy(group).validate(group)
     if text in ("gens", "letters"):
-        return StepDistribution(support=_gens_support(group)).validate(group)
+        return StepDistribution.uniform(group.generators()).validate(group)
     if text == "pm1":
         if not isinstance(group, (Z2, CycleZL)):
             raise CliError("pm1 shorthand is for cyclic groups")
@@ -143,11 +117,15 @@ def _run_simulate(args) -> bytes:
             target = cfg.group.parse_element(args.target)
         except (ValueError, TypeError) as ex:
             raise CliError(f"--target: {ex}")
-        pts = point_mass_curve(cfg, ns, target, args.trials, args.seed,
-                               threads=args.threads)
-    else:
-        pts = ball_curve(cfg, ns, args.ball_r, args.trials, args.seed,
-                         threads=args.threads)
+    try:
+        if args.target is not None:
+            pts = point_mass_curve(cfg, ns, target, args.trials, args.seed,
+                                   threads=args.threads)
+        else:
+            pts = ball_curve(cfg, ns, args.ball_r, args.trials, args.seed,
+                             threads=args.threads)
+    except ValueError as ex:
+        raise CliError(f"simulate: {ex}")
     rows = [(n, e.value, e.stderr, e.ci_low, e.ci_high, e.trials)
             for n, e in pts]
     meta = _meta(args, ("group", "alpha", "mu", "transform", "n", "trials",
@@ -230,18 +208,11 @@ def _run_evoset(args) -> bytes:
         meta = _meta(args, ("group", "alpha", "mu", "transform", "n"))
         return reports.csv_bytes(meta, ("j", "size"), rows)
     if args.mode == "profile":
-        try:
-            group = group_from_literal(args.group)
-        except (ValueError, TypeError) as ex:
-            raise CliError(f"--group: {ex}")
-        try:
-            mu = mu_from_cli(args.mu, group)
-        except (ValueError, TypeError, SyntaxError) as ex:
-            raise CliError(f"--mu: {ex}")
+        cfg = _build_config(args)
         rows = []
         for r in range(1, args.rmax + 1):
-            phi = iso_profile(group, mu, r, search_scope=args.scope)
-            psi = psi_profile(group, mu, r, search_scope=args.scope)
+            phi = iso_profile(cfg.group, cfg.mu, r, search_scope=args.scope)
+            psi = psi_profile(cfg.group, cfg.mu, r, search_scope=args.scope)
             rows.append((r, phi.value, psi.value))
         meta = _meta(args, ("group", "mu", "rmax", "scope"))
         return reports.csv_bytes(meta, ("r", "phi", "psi"), rows)

@@ -233,13 +233,19 @@ def signed_position_law(alpha: float, n: int) -> np.ndarray:
     law[n - 1] = law[n + 1] = 0.5
     s = np.arange(-n, n + 1, dtype=float)
     for m in range(1, n):
-        up = law * (1 + alpha * s / m) / 2
-        down = law * (1 - alpha * s / m) / 2
-        nxt = np.zeros_like(law)
-        nxt[2:] += up[1:-1]
-        nxt[:-2] += down[1:-1]
-        law = nxt
+        law = _position_step(law, s, alpha, m)
     return law
+
+
+def _position_step(law, s, alpha: float, m: int) -> np.ndarray:
+    """The position law after m + 1 steps from the law after m steps, on the
+    position grid s."""
+    up = law * (1 + alpha * s / m) / 2
+    down = law * (1 - alpha * s / m) / 2
+    nxt = np.zeros_like(law)
+    nxt[2:] += up[1:-1]
+    nxt[:-2] += down[1:-1]
+    return nxt
 
 
 def eval_stable(alpha: float, n: int, x: float) -> float:
@@ -255,19 +261,6 @@ def eval_stable(alpha: float, n: int, x: float) -> float:
     theta = math.acos(x)
     s = np.arange(-n, n + 1)
     return float(np.cos(s * theta) @ law)
-
-
-def erw_charfn(p: float, n: int, t: float) -> float:
-    """Characteristic function of the n-step elephant walk with memory p.
-
-    The walk is symmetric, so the value is real: the expected cosine of t
-    times the position, with polynomial parameter 2p - 1.
-    """
-    if not 0 <= p <= 1:
-        raise ValueError(f"memory parameter must be in [0, 1], got {p}")
-    law = signed_position_law(2 * p - 1, n)
-    s = np.arange(-n, n + 1)
-    return float(np.cos(s * t) @ law)
 
 
 def z2_return_gap(alpha: float, n: int) -> float:
@@ -372,13 +365,7 @@ def decay_bound_sweep(alpha: float, xs, n_max: int) -> np.ndarray:
     slack = np.empty((n_max, xs.size))
     for n in range(1, n_max + 1):
         if n > 1:
-            m = n - 1
-            up = law * (1 + alpha * s / m) / 2
-            down = law * (1 - alpha * s / m) / 2
-            nxt = np.zeros_like(law)
-            nxt[2:] += up[1:-1]
-            nxt[:-2] += down[1:-1]
-            law = nxt
+            law = _position_step(law, s, alpha, n - 1)
         lhs = np.abs(law @ cos_grid)
         rhs = (np.abs(xs) ** ((1 - alpha) * n / 8)
                + 5 * math.exp(-3 * (1 - alpha) * n / 280))

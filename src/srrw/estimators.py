@@ -29,14 +29,8 @@ from .stats import Z95, Estimate, binomial_estimate, mean_estimate
 _GENERIC_CHUNK = 2048
 
 
-def _finite_support(mu):
-    if mu.support is None:
-        return None
-    return list(mu.support)
-
-
 def _uniform_letters(config) -> bool:
-    sup = _finite_support(config.mu)
+    sup = config.mu.support
     if sup is None:
         return False
     d = config.group.d
@@ -74,7 +68,7 @@ def _fast_curve(config, n_list, target, trials, seed, threads):
                                               threads=threads)
     if not isinstance(config.transform, Identity):
         return None
-    sup = _finite_support(config.mu)
+    sup = config.mu.support
     if sup is None:
         return None
     weights = [w for _, w in sup]
@@ -175,7 +169,7 @@ def mc_histogram(config: SrrwConfig, n: int, trials: int, seed: int,
     distributional tests compare.
     """
     group = config.group
-    sup = _finite_support(config.mu)
+    sup = config.mu.support
     if (isinstance(group, (Z2, CycleZL)) and sup is not None
             and isinstance(config.transform, Identity)):
         L = 2 if isinstance(group, Z2) else group.L
@@ -200,7 +194,7 @@ def ball_curve(config: SrrwConfig, n_list, radius: float, trials: int,
     n_list = sorted(set(int(n) for n in n_list))
     hits = None
     if isinstance(config.transform, Identity):
-        sup = _finite_support(config.mu)
+        sup = config.mu.support
         if isinstance(group, IntegerLatticeZd) and sup is not None:
             disps = np.array([g for g, _ in sup], dtype=np.int64)
             weights = [w for _, w in sup]
@@ -268,9 +262,6 @@ class DecayFit:
     residual: float
     used: tuple = field(default=())
     dropped: tuple = field(default=())
-
-    def slope_excludes_zero(self) -> bool:
-        return self.slope_ci[0] > 0.0 or self.slope_ci[1] < 0.0
 
 
 def rate_fit(points, model: str) -> DecayFit:
@@ -350,11 +341,3 @@ def isolated_tail_check(alpha: float, n_list, trials: int, seed: int,
                                     estimate=est, bound=min(bound, 1.0),
                                     passed=ok))
     return results
-
-
-def class_function_decay(config: SrrwConfig, n_list, trials: int, seed: int,
-                         model: str = "power", threads: int = 1) -> DecayFit:
-    """Fit the identity return probability decay over a horizon grid."""
-    e = config.group.identity()
-    pts = point_mass_curve(config, n_list, e, trials, seed, threads=threads)
-    return rate_fit(pts, model)

@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng as rngmod
+from .fastpaths import _chunk_map
 from .forest import PercolatedForest, clusters
 from .groups import Group, StepDistribution, bfs_ball
 from .sampler import SrrwConfig, WalkTrace
@@ -169,13 +170,6 @@ def bottleneck(group: Group, mu: StepDistribution, A) -> float:
     return out / len(A)
 
 
-def edge_boundary_count(group: Group, moves, A) -> int:
-    """Directed Cayley-graph edges from A to its complement."""
-    inside = set(A)
-    return sum(1 for x in inside for s in moves
-               if group.multiply(x, s) not in inside)
-
-
 def enumerate_group(group: Group, cap: int = 100_000) -> list:
     """All elements of a finite group, via saturation of generator balls."""
     prev = -1
@@ -305,23 +299,6 @@ def doob_step(group: Group, mu: StepDistribution, W, kernel, rng_seed):
     return set(pieces[-1][1])
 
 
-def reverse_kernels(seq: KernelSeq) -> KernelSeq:
-    """Time reversal: step j of the reversal is the transpose of step
-    n+1-j.  The transpose of a mu-step is the step of the reflected
-    distribution (weights moved to inverse elements); the transpose of a
-    translation is the inverse translation."""
-    g = seq.group
-    reflected = StepDistribution(
-        support=[(g.inverse(e), w) for e, w in seq.mu.support])
-    tags = []
-    for tag in reversed(seq.tags):
-        if isinstance(tag, DeterministicStep):
-            tags.append(DeterministicStep(g.inverse(tag.g)))
-        else:
-            tags.append(MuStep())
-    return KernelSeq(group=g, mu=reflected, tags=tags)
-
-
 def kernel_matrix(seq: KernelSeq, j: int, elements: list) -> np.ndarray:
     """Dense matrix of step j over an enumerated state list (row: from)."""
     g = seq.group
@@ -356,13 +333,10 @@ def transition_via_evolving_sets(seq: KernelSeq, x, y, l: int, trials: int,
     """
     g, mu = seq.group, seq.mu
     ky = g.canonical_key(y)
-    hits = 0
-    chunk = 1 << 12
-    done = 0
-    ci = 0
-    while done < trials:
-        m = min(chunk, trials - done)
+
+    def worker(ci, m):
         rng = rngmod.as_generator(rng_seed, 71, ci)
+        hits = 0
         for _ in range(m):
             w = {x}
             for j in range(k + 1, l + 1):
@@ -371,9 +345,10 @@ def transition_via_evolving_sets(seq: KernelSeq, x, y, l: int, trials: int,
                     break
             if any(g.canonical_key(z) == ky for z in w):
                 hits += 1
-        done += m
-        ci += 1
-    return binomial_estimate(hits, trials)
+        return hits
+
+    return binomial_estimate(sum(_chunk_map(worker, trials, 1 << 12, 1)),
+                             trials)
 
 
 def set_tree(seq: KernelSeq, start, k: int, l: int) -> list:

@@ -17,8 +17,6 @@ of the root draws).
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,33 +48,6 @@ class PercolatedForest:
             assert self.retained[j] in (0, 1)
         return self
 
-    def dump_csv(self, fileobj) -> None:
-        """Rows (vertex, parent, retained); parent is 0 for vertex 1."""
-        w = csv.writer(fileobj)
-        w.writerow(["vertex", "parent", "retained"])
-        for j in range(1, self.n + 1):
-            w.writerow([j, self.parent[j], self.retained[j]])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        self.dump_csv(buf)
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, fileobj) -> "PercolatedForest":
-        rows = list(csv.reader(fileobj))
-        if rows and rows[0] and not rows[0][0].isdigit():
-            rows = rows[1:]
-        rows = [r for r in rows if r]
-        n = len(rows)
-        parent = [0] * (n + 1)
-        retained = [0] * (n + 1)
-        for r in rows:
-            j, u, keep = int(r[0]), int(r[1]), int(r[2])
-            parent[j] = u
-            retained[j] = keep
-        return cls(n=n, parent=parent, retained=retained).check()
-
 
 @dataclass
 class ClusterStats:
@@ -86,9 +57,6 @@ class ClusterStats:
     root_of: list
     sizes: dict
     isolated_count: int
-
-    def isolated_vertices(self) -> list:
-        return sorted(j for j, s in self.sizes.items() if s == 1)
 
 
 def grow(n: int, alpha: float, rng_seed) -> PercolatedForest:
@@ -151,26 +119,6 @@ def assign_and_assemble(forest: PercolatedForest, config: SrrwConfig,
             trace.reinforcement_flags.append(forest.retained[j])
             trace.picks.append(forest.parent[j])
     return trace
-
-
-def cluster_size_walk(alpha: float, n: int, rng_seed,
-                      sign_law: str = "pm1") -> int:
-    """Integer-valued fast path: sum of cluster sizes times i.i.d. root draws.
-
-    ``sign_law`` is "pm1" (uniform on -1/+1) or "bit" (uniform on 0/1).  No
-    group machinery: this is the closed form of the walk position for identity
-    transformations on an abelian group, used for integer and cyclic reductions.
-    """
-    if sign_law not in ("pm1", "bit"):
-        raise ValueError(f"unknown sign law {sign_law!r}")
-    rng = rngmod.as_generator(rng_seed)
-    stats = clusters(grow(n, alpha, rng))
-    total = 0
-    for size in stats.sizes.values():
-        bit = int(rng.integers(0, 2))
-        g = (2 * bit - 1) if sign_law == "pm1" else bit
-        total += size * g
-    return total
 
 
 def _attachments(n: int, alpha: float, trials: int, rng):
@@ -236,10 +184,6 @@ def all_clusters_even_probability(alpha: float, n: int, trials: int,
     return binomial_estimate(hits, trials)
 
 
-def isolated_count(forest: PercolatedForest) -> int:
-    return clusters(forest).isolated_count
-
-
 def isolated_counts_batch(n: int, alpha: float, trials: int, rng) -> np.ndarray:
     """Vectorized isolated-cluster counts over many grown forests.
 
@@ -252,11 +196,3 @@ def isolated_counts_batch(n: int, alpha: float, trials: int, rng) -> np.ndarray:
         own_dropped[kept, j] = False
         has_kept_child[kept, past + 1] = True
     return (own_dropped[:, 1:] & ~has_kept_child[:, 1:]).sum(axis=1)
-
-
-def suffix_isolated_count(m: int, n: int, alpha: float, rng_seed) -> int:
-    """Isolated count among the last n vertices of one grown (m+n)-vertex forest."""
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
-    stats = clusters(grow(m + n, alpha, rngmod.as_generator(rng_seed)))
-    return sum(1 for j, s in stats.sizes.items() if s == 1 and j > m)

@@ -266,9 +266,6 @@ class EuclideanRd(Group):
         # Binning, not equality: documented resolution for histogram bucketing.
         return tuple(math.floor(x / self.bin_width) for x in a)
 
-    def norm(self, a) -> float:
-        return math.sqrt(sum(x * x for x in a))
-
     def parse_element(self, text):
         text = text.strip()
         if text == "e":
@@ -527,25 +524,6 @@ def group_from_literal(text: str) -> Group:
     raise ValueError(f"unknown group literal: {text!r}")
 
 
-def group_literal(group: Group) -> str:
-    """Inverse of ``group_from_literal`` for the shipped variants."""
-    if isinstance(group, Z2):
-        return "z2"
-    if isinstance(group, CycleZL):
-        return f"cycle:{group.L}"
-    if isinstance(group, IntegerLatticeZd):
-        return f"lattice:{group.d}"
-    if isinstance(group, EuclideanRd):
-        return f"rd:{group.d}:{group.bin_width}"
-    if isinstance(group, RegularTreeFree):
-        return f"tree:{group.d}"
-    if isinstance(group, LamplighterZ):
-        return "lamplighter"
-    if isinstance(group, S3xZ):
-        return "s3z"
-    raise ValueError(f"no literal for {group!r}")
-
-
 _CONTINUOUS_FAMILIES = ("gaussian", "sphere", "axis")
 
 
@@ -590,11 +568,6 @@ class StepDistribution:
             raise ValueError(f"weights sum to {total}, not 1")
         return self
 
-    def min_weight(self) -> float:
-        if self.is_continuous:
-            raise ValueError("continuous distribution has no minimum atom")
-        return min(w for _, w in self.support)
-
     def lazy_mass(self, group: Group) -> float:
         """Mass at the identity."""
         if self.is_continuous:
@@ -613,17 +586,25 @@ class StepDistribution:
         return cls(support=[(e, 1.0 / len(elems)) for e in elems])
 
     @classmethod
+    def lazy(cls, group: Group) -> "StepDistribution":
+        """Half the mass at the identity and the rest uniform on the
+        standard generators; on the lamplighter, uniform on the identity and
+        its three generators."""
+        e = group.identity()
+        if isinstance(group, LamplighterZ):
+            return cls.uniform([e] + group.generators())
+        if not isinstance(group, (Z2, CycleZL, IntegerLatticeZd)):
+            raise ValueError(f"no lazy shorthand for group {group.variant}")
+        gens = group.generators()
+        return cls(support=[(e, 0.5)] + [(g, 0.5 / len(gens)) for g in gens])
+
+    @classmethod
     def from_literal(cls, spec, group: Group) -> "StepDistribution":
         """Parse ``[["a", 0.5], ["b", 0.5]]`` pairs, or a family name for R^d."""
         if isinstance(spec, str):
             return cls(family=spec).validate(group)
         support = [(group.parse_element(token), float(w)) for token, w in spec]
         return cls(support=support).validate(group)
-
-    def to_literal(self, group: Group):
-        if self.is_continuous:
-            return self.family
-        return [[group.format_element(e), w] for e, w in self.support]
 
     def __repr__(self):
         if self.is_continuous:

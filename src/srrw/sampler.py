@@ -410,18 +410,3 @@ def transform_from_literal(text: str) -> Transform:
         pairs = ast.literal_eval(arg)
         return EchoLawLinear([(m, w) for m, w in pairs])
     raise ValueError(f"unknown transform literal: {text!r}")
-
-
-def transform_literal(tf: Transform) -> str:
-    if isinstance(tf, Identity):
-        return "identity"
-    if isinstance(tf, Negation):
-        return "negation"
-    if isinstance(tf, IidSign):
-        return f"iid_sign:{tf.q}"
-    if isinstance(tf, ErwRotation):
-        return f"erw_rotation:{tf.d}" if tf.d else "erw_rotation"
-    if isinstance(tf, EchoLawLinear):
-        return "echo:" + repr([[list(list(r) for r in m), w]
-                               for m, w in tf.components])
-    raise ValueError(f"no literal for {tf!r}")

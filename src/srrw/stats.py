@@ -30,10 +30,6 @@ class Estimate:
         return self.ci_low <= target <= self.ci_high
 
     @property
-    def mean(self) -> float:
-        return self.value
-
-    @property
     def ci95(self):
         return (self.ci_low, self.ci_high)
 

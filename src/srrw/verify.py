@@ -259,14 +259,9 @@ def lattice_decay_observed(pts, fit) -> str:
 
 
 def lazy_lattice_config(d: int, alpha: float = 0.5) -> SrrwConfig:
-    sup = [(tuple([0] * d), 0.5)]
-    for i in range(d):
-        for s in (1, -1):
-            v = [0] * d
-            v[i] = s
-            sup.append((tuple(v), 1.0 / (4 * d)))
-    return SrrwConfig(group=IntegerLatticeZd(d), alpha=alpha,
-                      mu=StepDistribution(support=sup))
+    group = IntegerLatticeZd(d)
+    return SrrwConfig(group=group, alpha=alpha,
+                      mu=StepDistribution.lazy(group))
 
 
 def suite_lattice_decay(seed: int = DEFAULT_SEED, threads: int = 1):
@@ -455,7 +450,7 @@ def suite_psi_bottleneck(seed: int = DEFAULT_SEED, threads: int = 1):
     results = []
     for L in (8, 12):
         g = CycleZL(L)
-        mu = StepDistribution(support=[(0, 0.5), (1, 0.25), (L - 1, 0.25)])
+        mu = StepDistribution.lazy(g)
         mu0 = mu.lazy_mass(g)
         factor = mu0 ** 2 / (2 * (1 - mu0) ** 2)
         worst = math.inf

@@ -157,6 +157,23 @@ def test_main_writes_out_file_and_exit_codes(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_refused_simulate_inputs_exit_with_an_error(capsys):
+    # both are refused before any simulation runs
+    over_budget = ["simulate", "--group", "lattice:1", "--alpha", "0.5",
+                   "--mu", "gens", "--n", "70000000", "--trials", "10",
+                   "--target", "e", "--seed", "1"]
+    ball_on_words = ["simulate", "--group", "tree:3", "--alpha", "0.5",
+                     "--mu", "letters", "--n", "4", "--trials", "10",
+                     "--ball-r", "2", "--seed", "1"]
+    for argv, reason in ((over_budget, "bytes of codes per trial"),
+                         (ball_on_words, "coordinate positions")):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: simulate: ") and reason in err
+        with pytest.raises(CliError, match=reason):
+            render_bytes(argv)
+
+
 def test_main_stdout_default(capsysbinary):
     argv = ["poly", "gap", "--alpha", "0.5", "--n", "4"]
     assert main(argv) == 0

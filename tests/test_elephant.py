@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srrw.elephant import (basis_eval, cycle_distribution, decay_bound_check,
-                           decay_bound_sweep, decay_envelope, erw_charfn,
-                           eval_stable, lambda_bounds_check, lambda_rows,
+                           decay_bound_sweep, decay_envelope, eval_stable,
+                           lambda_bounds_check, lambda_rows,
                            lambda_table, poly_sequence, signed_position_law,
                            z2_return_gap, z2_return_gap_bounds)
 from srrw.groups import StepDistribution, Z2, CycleZL
@@ -126,16 +126,6 @@ def test_stable_eval_matches_polynomial_at_small_degree():
                                     polys[n - 1].eval(x), abs_tol=1e-10)
     with pytest.raises(ValueError):
         eval_stable(0.5, 4, 1.5)
-
-
-def test_erw_charfn():
-    # p = 1/2 means no memory: the classical (cos t)^n
-    for n in (3, 8):
-        for t in (0.3, 1.1):
-            assert math.isclose(erw_charfn(0.5, n, t), math.cos(t) ** n,
-                                abs_tol=1e-12)
-    with pytest.raises(ValueError):
-        erw_charfn(1.3, 4, 0.5)
 
 
 def test_z2_return_gap():

@@ -1,5 +1,5 @@
 """Evolving-set machinery: exact threshold pieces, the size martingale,
-profiles, duality with the transition kernel, and time reversal."""
+profiles, and duality with the transition kernel."""
 
 import math
 from fractions import Fraction
@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from srrw.evolving import (DeterministicStep, KernelSeq, MuStep, bottleneck,
                            compose_matrices, connected_sets, doob_step,
-                           edge_boundary_count, enumerate_group, evolve_step,
-                           iso_profile, kernel_matrix, kernel_seq_from_forest,
+                           enumerate_group, evolve_step, iso_profile,
+                           kernel_matrix, kernel_seq_from_forest,
                            martingale_defect, mass_profile, psi, psi_profile,
-                           reverse_kernels, set_tree, threshold_pieces,
+                           set_tree, threshold_pieces,
                            transition_via_evolving_sets)
 from srrw.forest import PercolatedForest
 from srrw.groups import CycleZL, IntegerLatticeZd, StepDistribution
@@ -105,14 +105,10 @@ def test_bottleneck_cycle_values():
 
 
 def test_edge_boundary_bound():
+    # each of the k directed +-1 edges leaving A carries mass 0.25
     g, mu = lazy_on(8)
-    moves = [1, 7]
-    w_min = 0.25
-    for a in ({0}, {0, 1, 2, 3}, {0, 2, 4}, {1, 2, 5}):
-        edges = edge_boundary_count(g, moves, a)
-        assert bottleneck(g, mu, a) >= w_min * edges / len(a) - 1e-15
-    assert edge_boundary_count(g, moves, {0, 1, 2, 3}) == 2
-    assert edge_boundary_count(g, moves, {0, 2, 4}) == 6
+    for a, k in (({0}, 2), ({0, 1, 2, 3}, 2), ({0, 2, 4}, 6), ({1, 2, 5}, 4)):
+        assert bottleneck(g, mu, a) == 0.25 * k / len(a)
 
 
 def test_enumerate_group():
@@ -222,20 +218,6 @@ def test_kernel_matrix_and_compose():
     prod = compose_matrices(seq, elems, 0, 3)
     assert np.allclose(prod, m1 @ m1 @ m3)
     assert np.allclose(compose_matrices(seq, elems, 1, 1), np.eye(4))
-
-
-def test_reversal_transposes_each_step():
-    g, mu = CycleZL(6), StepDistribution(support=[(1, 0.75), (5, 0.25)])
-    elems = sorted(enumerate_group(g))
-    seq = KernelSeq(group=g, mu=mu,
-                    tags=[MuStep(), DeterministicStep(2), MuStep()])
-    rev = reverse_kernels(seq)
-    assert rev.n == seq.n
-    assert dict(rev.mu.support)[5] == 0.75
-    for j in range(1, seq.n + 1):
-        fwd = kernel_matrix(seq, seq.n + 1 - j, elems)
-        back = kernel_matrix(rev, j, elems)
-        assert np.allclose(back, fwd.T)
 
 
 def test_set_tree_matches_kernel_power_exactly():

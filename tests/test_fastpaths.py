@@ -117,10 +117,13 @@ def test_s3z_engine_vs_exact():
     mu = StepDistribution(support=[(((1, 0, 2), 1), 0.5),
                                    (((1, 0, 2), -1), 0.5)])
     cfg = SrrwConfig(group=g, alpha=0.5, mu=mu)
-    dist = exact_distribution(cfg, 5)
-    for target in ((((0, 1, 2), 0)), (((1, 0, 2), 1))):
-        est = mc_point_mass(cfg, 5, target, 40000, SEED)
-        assert abs(z_score(est, dist.prob(g.canonical_key(target)))) < 4
+    # the Z part moves +-1 every step, so e is reachable at even n only
+    e = g.identity()
+    for n, target in ((4, e), (5, ((1, 0, 2), 1))):
+        est = mc_point_mass(cfg, n, target, 40000, SEED)
+        exact = exact_distribution(cfg, n).prob(g.canonical_key(target))
+        assert abs(z_score(est, exact)) < 4
+    assert mc_point_mass(cfg, 5, e, 40000, SEED).value == 0.0
 
 
 def test_lamplighter_engine_vs_exact():
@@ -136,12 +139,14 @@ def test_lamplighter_engine_vs_exact():
 
 
 def test_tree_engine_vs_exact():
+    # a tree walk is back at e only after an even number of steps, so at
+    # odd n the law fixes the count exactly; even n is checked below
     for p in (0.2, 0.5, 0.8):
         cfg = erw_config(3, p)
-        g = cfg.group
-        dist = exact_distribution(cfg, 5)
-        est = mc_point_mass(cfg, 5, g.identity(), 40000, SEED)
-        assert abs(z_score(est, dist.prob(g.canonical_key(g.identity())))) < 4
+        e = cfg.group.identity()
+        assert exact_distribution(cfg, 5).prob(e) == 0.0
+        for n, est in point_mass_curve(cfg, [1, 3, 5], e, 40000, SEED):
+            assert est.value == 0.0
 
 
 def test_tree_escape_engine_vs_generic():
@@ -389,7 +394,7 @@ def test_pack_round_trip_at_the_edges():
 def test_tree_engine_vs_exact_at_even_horizons():
     # a tree walk is never back at e after an odd number of steps, so only
     # even horizons show its law; p < 1/3 rotates replayed letters
-    for p in (0.1, 0.2, 0.8):
+    for p in (0.1, 0.2, 0.5, 0.8):
         cfg = erw_config(3, p)
         e = cfg.group.identity()
         for n, est in point_mass_curve(cfg, [2, 4, 6], e, 40000, SEED):

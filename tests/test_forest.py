@@ -1,6 +1,5 @@
 """Percolated forests: growth, cluster labeling, and the assembled walk."""
 
-import io
 import math
 
 import numpy as np
@@ -9,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srrw.forest import (PercolatedForest, all_clusters_even_probability,
-                         assign_and_assemble, cluster_size_walk, clusters,
-                         grow, isolated_count, isolated_counts_batch,
-                         suffix_isolated_count)
+                         assign_and_assemble, clusters, grow,
+                         isolated_counts_batch)
 from srrw.groups import StepDistribution, Z2
 from srrw.rng import stream
 from srrw.sampler import Identity, SrrwConfig
@@ -60,7 +58,6 @@ def test_cluster_labeling_matches_reference(data):
     assert set(stats.sizes) == {j for j in range(1, forest.n + 1)
                                 if not forest.retained[j]}
     assert stats.isolated_count == sum(1 for s in sizes.values() if s == 1)
-    assert isolated_count(forest) == stats.isolated_count
 
 
 @given(forests)
@@ -94,14 +91,6 @@ def test_worked_seven_vertex_example():
     assert stats.sizes == {1: 2, 3: 3, 4: 2}
     assert stats.root_of[1:] == [1, 1, 3, 4, 3, 4, 3]
     assert stats.isolated_count == 0
-    assert stats.isolated_vertices() == []
-
-
-def test_forest_csv_round_trip():
-    forest = grow(17, 0.4, stream(21, 4))
-    back = PercolatedForest.from_csv(io.StringIO(forest.to_csv()))
-    assert back.parent == forest.parent
-    assert back.retained == forest.retained
 
 
 def test_assemble_positions_consistent():
@@ -133,25 +122,6 @@ def test_assemble_identity_abelian_is_cluster_weighted_sum():
             assert trace.steps[j - 1] == trace.steps[stats.root_of[j] - 1]
 
 
-def test_cluster_size_walk_parity_and_binomial_shape():
-    # +-1 signs preserve the parity of the vertex count exactly
-    for t in range(200):
-        n = 5 + t % 7
-        v = cluster_size_walk(0.5, n, stream(24, t))
-        assert (v - n) % 2 == 0
-    with pytest.raises(ValueError):
-        cluster_size_walk(0.5, 5, stream(24, 0), sign_law="spin")
-
-    # alpha = 0 bit law: sum of n fair bits
-    trials = 4000
-    n = 16
-    vals = [cluster_size_walk(0.0, n, stream(25, t), sign_law="bit")
-            for t in range(trials)]
-    mean = sum(vals) / trials
-    sd = math.sqrt(n * 0.25 / trials)
-    assert abs(mean - n / 2) <= 3 * sd
-
-
 def test_all_clusters_even_probability():
     assert all_clusters_even_probability(0.7, 9, 100, stream(26, 0)).value == 0.0
 
@@ -175,12 +145,3 @@ def test_isolated_counts_batch_matches_exact_law():
         phat = float((counts == i).mean())
         assert abs(phat - p) <= 3 * math.sqrt(p * (1 - p) / trials) + 1e-9
     assert set(np.unique(counts)) <= set(law)
-
-
-def test_suffix_isolated_count():
-    assert suffix_isolated_count(5, 8, 0.0, stream(28, 0)) == 8
-    for t in range(50):
-        v = suffix_isolated_count(0, 9, 0.5, stream(28, 1 + t))
-        assert 0 <= v <= 9
-    with pytest.raises(ValueError):
-        suffix_isolated_count(-1, 5, 0.5, stream(28, 99))

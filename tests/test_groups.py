@@ -16,7 +16,6 @@ from srrw.groups import (
     Z2,
     bfs_ball,
     group_from_literal,
-    group_literal,
     is_class_function,
 )
 from srrw.rng import stream
@@ -172,10 +171,12 @@ def test_identity_parses_as_e(group):
 
 
 def test_group_literal_round_trip():
-    for text in ["z2", "cycle:5", "lattice:3", "rd:2:1.0", "tree:4",
-                 "lamplighter", "s3z"]:
-        g = group_from_literal(text)
-        assert group_literal(g) == text
+    for text, group in [("z2", Z2()), ("cycle:5", CycleZL(5)),
+                        ("lattice:3", IntegerLatticeZd(3)),
+                        ("rd:2:0.5", EuclideanRd(2, bin_width=0.5)),
+                        ("rd:3", EuclideanRd(3)), ("tree:4", RegularTreeFree(4)),
+                        ("lamplighter", LamplighterZ()), ("s3z", S3xZ())]:
+        assert group_from_literal(text) == group
     # order-2 cycles share the Z2 step conventions and route there
     assert isinstance(group_from_literal("cycle:2"), Z2)
     with pytest.raises(ValueError):
@@ -219,16 +220,35 @@ def test_step_distribution_masses():
     assert mu.lazy_mass(g) == 0.5
     assert mu.mass(g, 5) == 0.25
     assert mu.mass(g, 3) == 0.0
-    assert mu.min_weight() == 0.25
     uni = StepDistribution.uniform(g.generators())
     assert math.isclose(sum(w for _, w in uni.support), 1.0)
+
+
+def test_lazy_step_law():
+    # atom order is part of the law: the engines index atoms in this order
+    assert StepDistribution.lazy(Z2()).support == [(0, 0.5), (1, 0.5)]
+    assert StepDistribution.lazy(CycleZL(6)).support == [
+        (0, 0.5), (1, 0.25), (5, 0.25)]
+    assert StepDistribution.lazy(IntegerLatticeZd(2)).support == [
+        ((0, 0), 0.5), ((1, 0), 0.125), ((-1, 0), 0.125), ((0, 1), 0.125),
+        ((0, -1), 0.125)]
+    g = LamplighterZ()
+    assert StepDistribution.lazy(g).support == [
+        (g.identity(), 0.25), ((frozenset([0]), 0), 0.25),
+        ((frozenset(), 1), 0.25), ((frozenset(), -1), 0.25)]
+    for d in (1, 3, 5, 7):
+        lazy = StepDistribution.lazy(IntegerLatticeZd(d))
+        assert [w for _, w in lazy.support[1:]] == [1.0 / (4 * d)] * (2 * d)
+    for group in (RegularTreeFree(3), S3xZ(), EuclideanRd(2)):
+        with pytest.raises(ValueError, match="no lazy shorthand"):
+            StepDistribution.lazy(group)
 
 
 def test_step_distribution_literals():
     g = IntegerLatticeZd(2)
     mu = StepDistribution.from_literal([["e1", 0.5], ["e1^-1", 0.5]], g)
     assert mu.support[0][0] == (1, 0)
-    assert mu.to_literal(g) == [["(1,0)", 0.5], ["(-1,0)", 0.5]]
+    assert mu.support == [((1, 0), 0.5), ((-1, 0), 0.5)]
     rd = EuclideanRd(3)
     assert StepDistribution.from_literal("gaussian", rd).family == "gaussian"
 
@@ -274,7 +294,6 @@ def test_euclidean_binning():
     assert g.canonical_key((0.2, 0.7)) == (0, 1)
     assert g.canonical_key((0.2, 0.7)) == g.canonical_key((0.4, 0.9))
     assert g.canonical_key((-0.1, 0.0)) != g.canonical_key((0.1, 0.0))
-    assert math.isclose(g.norm((3.0, 4.0)), 5.0)
 
 
 def test_fraction_weights_validate():

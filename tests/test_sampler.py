@@ -12,7 +12,7 @@ from srrw.rng import stream
 from srrw.sampler import (EchoLawLinear, ErwRotation, HistoryDependent,
                           Identity, IidSign, Negation, SrrwConfig, erw_config,
                           next_step_distribution, sample_walk,
-                          transform_from_literal, transform_literal)
+                          transform_from_literal)
 
 PM1 = StepDistribution(support=[(1, 0.5), (2, 0.5)])  # +-1 on Z_3
 
@@ -210,14 +210,17 @@ def test_echo_law_validation():
 
 
 def test_transform_literal_round_trip():
-    for text in ["identity", "negation", "iid_sign:0.25", "erw_rotation",
-                 "erw_rotation:4"]:
-        tf = transform_from_literal(text)
-        assert transform_literal(tf) == text
+    for text, tf in [("identity", Identity()), ("negation", Negation()),
+                     ("iid_sign:0.25", IidSign(0.25)),
+                     ("erw_rotation", ErwRotation()),
+                     ("erw_rotation:4", ErwRotation(4))]:
+        assert transform_from_literal(text) == tf
+    assert transform_from_literal("iid_sign:0.25") != IidSign(0.5)
+    assert transform_from_literal("erw_rotation:4") != ErwRotation(3)
     echo = transform_from_literal("echo:[[[[1,0],[0,1]],0.5],[[[-1,0],[0,-1]],0.5]]")
     assert isinstance(echo, EchoLawLinear)
-    back = transform_from_literal(transform_literal(echo))
-    assert back.components == echo.components
+    assert echo == EchoLawLinear([(((1, 0), (0, 1)), 0.5),
+                                  (((-1, 0), (0, -1)), 0.5)])
     with pytest.raises(ValueError):
         transform_from_literal("reverse")
 

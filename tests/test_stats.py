@@ -22,7 +22,6 @@ def test_normal_case_is_symmetric():
                         rel_tol=1e-5)
     assert est.within(0.5)
     assert not est.within(0.6)
-    assert est.mean == est.value
     assert est.ci95 == (est.ci_low, est.ci_high)
 
 
