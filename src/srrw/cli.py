@@ -23,7 +23,7 @@ from .estimators import ball_curve, point_mass_curve
 from .evolving import (doob_step, iso_profile, kernel_seq_from_forest,
                        psi_profile)
 from .forest import assign_and_assemble, grow
-from .groups import (CycleZL, EuclideanRd, Group, StepDistribution, Z2,
+from .groups import (CycleZL, EuclideanRd, Group, StepDistribution,
                      group_from_literal)
 from .oracle import exact_distribution
 from .sampler import SrrwConfig, transform_from_literal
@@ -47,13 +47,9 @@ def mu_from_cli(text: str, group: Group) -> StepDistribution:
     if text in ("gens", "letters"):
         return StepDistribution.uniform(group.generators()).validate(group)
     if text == "pm1":
-        if not isinstance(group, (Z2, CycleZL)):
+        if not isinstance(group, CycleZL):
             raise CliError("pm1 shorthand is for cyclic groups")
-        L = 2 if isinstance(group, Z2) else group.L
-        if L == 2:
-            return StepDistribution(support=[(1, 1.0)]).validate(group)
-        return StepDistribution(
-            support=[(1, 0.5), (L - 1, 0.5)]).validate(group)
+        return StepDistribution.uniform(group.generators()).validate(group)
     if isinstance(group, EuclideanRd) and text in ("gaussian", "sphere",
                                                    "axis"):
         return StepDistribution(family=text).validate(group)
@@ -63,18 +59,17 @@ def mu_from_cli(text: str, group: Group) -> StepDistribution:
     raise ValueError(f"unrecognized step-law literal {text!r}")
 
 
-def _parse_int_list(text: str):
+def _parse_list(text: str, flag: str, kind=int):
+    """Comma-separated values of ``kind``; at least one."""
     try:
-        return [int(t) for t in text.split(",") if t.strip()]
+        out = [kind(t) for t in text.split(",") if t.strip()]
     except ValueError:
-        raise CliError(f"--n: expected comma-separated integers, got {text!r}")
-
-
-def _parse_float_list(text: str):
-    try:
-        return [float(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise CliError(f"--x: expected comma-separated reals, got {text!r}")
+        out = []
+    if not out:
+        raise CliError(f"{flag}: expected comma-separated "
+                       f"{'integers' if kind is int else 'reals'}, "
+                       f"got {text!r}")
+    return out
 
 
 def _build_config(args) -> SrrwConfig:
@@ -109,7 +104,7 @@ def _meta(args, fields) -> dict:
 
 def _run_simulate(args) -> bytes:
     cfg = _build_config(args)
-    ns = _parse_int_list(args.n)
+    ns = _parse_list(args.n, "--n")
     if (args.target is None) == (args.ball_r is None):
         raise CliError("simulate needs exactly one of --target or --ball-r")
     if args.target is not None:
@@ -137,7 +132,7 @@ def _run_simulate(args) -> bytes:
 
 def _run_exact(args) -> bytes:
     cfg = _build_config(args)
-    ns = _parse_int_list(args.n)
+    ns = _parse_list(args.n, "--n")
     if len(ns) != 1:
         raise CliError("--n: exact takes a single horizon")
     try:
@@ -163,19 +158,19 @@ def _run_poly(args) -> bytes:
         return reports.csv_bytes(
             meta, ("n", "k", "lambda", "lower", "upper", "pass"), rows)
     if args.mode == "eval":
-        ns = _parse_int_list(args.n)
-        xs = _parse_float_list(args.x)
+        ns = _parse_list(args.n, "--n")
+        xs = _parse_list(args.x, "--x", float)
         rows = [(n, x, eval_stable(args.alpha, n, x)) for n in ns for x in xs]
         return reports.csv_bytes(meta, ("n", "x", "value"), rows)
     if args.mode == "cycle":
-        ns = _parse_int_list(args.n)
+        ns = _parse_list(args.n, "--n")
         rows = []
         for n in ns:
             probs = cycle_distribution(args.alpha, args.L, n)
             rows.extend((n, m, float(p)) for m, p in enumerate(probs))
         return reports.csv_bytes(meta, ("n", "m", "probability"), rows)
     if args.mode == "gap":
-        ns = _parse_int_list(args.n)
+        ns = _parse_list(args.n, "--n")
         rows = []
         for n in ns:
             if n % 2 == 1:
@@ -195,7 +190,9 @@ def _from_log(logv: float) -> float:
 def _run_evoset(args) -> bytes:
     if args.mode == "trace":
         cfg = _build_config(args)
-        n = _parse_int_list(args.n)[0]
+        n = _parse_list(args.n, "--n")[0]
+        if n < 1:
+            raise CliError(f"--n: evoset trace needs a horizon >= 1, got {n}")
         forest = grow(n, cfg.alpha, rngmod.stream(args.seed, 80))
         trace = assign_and_assemble(forest, cfg, rngmod.stream(args.seed, 81))
         seq = kernel_seq_from_forest(forest, cfg, trace)

@@ -367,7 +367,5 @@ def decay_bound_sweep(alpha: float, xs, n_max: int) -> np.ndarray:
         if n > 1:
             law = _position_step(law, s, alpha, n - 1)
         lhs = np.abs(law @ cos_grid)
-        rhs = (np.abs(xs) ** ((1 - alpha) * n / 8)
-               + 5 * math.exp(-3 * (1 - alpha) * n / 280))
-        slack[n - 1] = rhs - lhs
+        slack[n - 1] = decay_envelope(alpha, n, xs) - lhs
     return slack

@@ -22,37 +22,25 @@ from . import fastpaths
 from . import rng as rngmod
 from .forest import grow, assign_and_assemble, isolated_counts_batch
 from .groups import (CycleZL, EuclideanRd, IntegerLatticeZd, LamplighterZ,
-                     RegularTreeFree, S3xZ, Z2)
+                     RegularTreeFree, S3xZ)
 from .sampler import ErwRotation, Identity, SrrwConfig, sample_walk
 from .stats import Z95, Estimate, binomial_estimate, mean_estimate
 
 _GENERIC_CHUNK = 2048
 
 
-def _uniform_letters(config) -> bool:
-    sup = config.mu.support
-    if sup is None:
-        return False
-    d = config.group.d
-    if len(sup) != d:
-        return False
-    letters = set()
-    for g, w in sup:
-        if len(g) != 1 or abs(w - 1.0 / d) > 1e-12:
-            return False
-        letters.add(g[0])
-    return letters == set(range(d))
-
-
 def _tree_erw(config):
-    """(d, alpha, rotate) of an elephant walk on the tree, or None."""
+    """(d, alpha, rotate) of an elephant walk on the tree with uniform
+    letters, or None."""
     if not isinstance(config.group, RegularTreeFree):
         return None
     if not isinstance(config.transform, (Identity, ErwRotation)):
         return None
-    if not _uniform_letters(config):
+    d, sup = config.group.d, config.mu.support
+    if (sup is None or sorted(g for g, _ in sup) != config.group.generators()
+            or any(abs(w - 1.0 / d) > 1e-12 for _, w in sup)):
         return None
-    return (config.group.d, config.alpha,
+    return (d, config.alpha,
             isinstance(config.transform, ErwRotation))
 
 
@@ -98,6 +86,14 @@ def _fast_curve(config, n_list, target, trials, seed, threads):
     return None
 
 
+def _horizons(n_list) -> list:
+    """Distinct horizons in increasing order; at least one, each >= 1."""
+    ns = sorted(set(int(n) for n in n_list))
+    if not ns or ns[0] < 1:
+        raise ValueError(f"horizons must be integers >= 1, got {ns}")
+    return ns
+
+
 def point_mass_curve(config: SrrwConfig, n_list, target, trials: int,
                      seed: int, threads: int = 1):
     """P(S_n = target) estimates at each horizon in n_list.
@@ -106,7 +102,7 @@ def point_mass_curve(config: SrrwConfig, n_list, target, trials: int,
     per-horizon estimates share underlying trials; horizons are then
     correlated but each estimate is individually unbiased.
     """
-    n_list = sorted(set(int(n) for n in n_list))
+    n_list = _horizons(n_list)
     hits = _fast_curve(config, n_list, target, trials, seed, threads)
     if hits is None:
         key = config.group.canonical_key
@@ -170,13 +166,13 @@ def mc_histogram(config: SrrwConfig, n: int, trials: int, seed: int,
     """
     group = config.group
     sup = config.mu.support
-    if (isinstance(group, (Z2, CycleZL)) and sup is not None
+    if (isinstance(group, CycleZL) and sup is not None
             and isinstance(config.transform, Identity)):
-        L = 2 if isinstance(group, Z2) else group.L
         atoms = [g for g, _ in sup]
         weights = [w for _, w in sup]
-        counts = fastpaths.cyclic_histogram(L, config.alpha, atoms, weights,
-                                            n, trials, seed, threads=threads,
+        counts = fastpaths.cyclic_histogram(group.L, config.alpha, atoms,
+                                            weights, n, trials, seed,
+                                            threads=threads,
                                             via_forest=via_forest)
         return {r: int(c) for r, c in enumerate(counts) if c > 0}
 
@@ -191,7 +187,7 @@ def ball_curve(config: SrrwConfig, n_list, radius: float, trials: int,
     group = config.group
     if not isinstance(group, (IntegerLatticeZd, EuclideanRd)):
         raise ValueError("ball estimates need coordinate positions")
-    n_list = sorted(set(int(n) for n in n_list))
+    n_list = _horizons(n_list)
     hits = None
     if isinstance(config.transform, Identity):
         sup = config.mu.support

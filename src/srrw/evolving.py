@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -128,6 +129,21 @@ def martingale_defect(group: Group, mu: StepDistribution, W) -> Fraction:
     """sum_i len_i |A_i| - |W|; exactly zero for every valid decomposition."""
     pieces = threshold_pieces(group, mu, W)
     return sum((l * len(a) for l, a in pieces), Fraction(0)) - len(W)
+
+
+def step_pieces(group: Group, mu: StepDistribution, W, kernel) -> list:
+    """One evolving-set step from W as ``[(length, set)]``, Fraction
+    lengths summing to 1: a uniform in the i-th length yields the i-th set.
+
+    The empty set stays empty and a translation is one piece; a mu-step is
+    ``threshold_pieces`` and then the empty set above the top level.
+    """
+    if not W:
+        return [(Fraction(1), set())]
+    if isinstance(kernel, DeterministicStep):
+        return [(Fraction(1), {group.multiply(x, kernel.g) for x in W})]
+    pieces = threshold_pieces(group, mu, W)
+    return pieces + [(1 - sum(l for l, _ in pieces), set())]
 
 
 def evolve_step(group: Group, mu: StepDistribution, W, kernel, U: float):
@@ -279,24 +295,24 @@ def psi_profile(group: Group, mu: StepDistribution, r: int,
 def doob_step(group: Group, mu: StepDistribution, W, kernel, rng_seed):
     """One step of the size-biased evolving-set chain.
 
-    Piece i of the threshold decomposition is drawn with probability
+    Nonempty piece i of ``step_pieces`` is drawn with probability
     len_i |A_i| / |W|; the weights sum to one by the martingale identity, so
-    the resulting set is never empty.  Deterministic kernels translate.
+    the resulting set is never empty.  A step with a single piece (a
+    translation) is certain and draws nothing.
     """
     if not W:
         raise ValueError("empty current set")
-    if isinstance(kernel, DeterministicStep):
-        return {group.multiply(x, kernel.g) for x in W}
-    rng = rngmod.as_generator(rng_seed)
-    pieces = threshold_pieces(group, mu, W)
-    weights = [float(l) * len(a) / len(W) for l, a in pieces]
-    u = rng.random()
+    pieces = step_pieces(group, mu, W, kernel)
+    if len(pieces) == 1:
+        return pieces[0][1]
+    pieces = [(l, a) for l, a in pieces if a]
+    u = rngmod.as_generator(rng_seed).random()
     acc = 0.0
-    for (_, a), w in zip(pieces, weights):
-        acc += w
+    for l, a in pieces:
+        acc += float(l) * len(a) / len(W)
         if u < acc:
-            return set(a)
-    return set(pieces[-1][1])
+            return a
+    return pieces[-1][1]
 
 
 def kernel_matrix(seq: KernelSeq, j: int, elements: list) -> np.ndarray:
@@ -354,32 +370,43 @@ def transition_via_evolving_sets(seq: KernelSeq, x, y, l: int, trials: int,
 def set_tree(seq: KernelSeq, start, k: int, l: int) -> list:
     """Exact law of the evolving set after steps k+1..l from a start set.
 
-    Full enumeration over the per-step threshold pieces (the empty set
-    branch included), probabilities exact.  Exponential in l - k; meant for
-    the small horizons where closed identities are certified.
+    Full enumeration over ``step_pieces`` (the empty set included),
+    probabilities exact.  Exponential in l - k; meant for the small horizons
+    where closed identities are certified.
     """
-    g, mu = seq.group, seq.mu
     states = [(frozenset(start), Fraction(1))]
     for j in range(k + 1, l + 1):
-        tag = seq.kernel(j)
         nxt: dict = {}
-
-        def add(s, p):
-            nxt[s] = nxt.get(s, Fraction(0)) + p
-
         for w, p in states:
-            if not w:
-                add(w, p)
-                continue
-            if isinstance(tag, DeterministicStep):
-                add(frozenset(g.multiply(z, tag.g) for z in w), p)
-                continue
-            pieces = threshold_pieces(g, mu, w)
-            used = Fraction(0)
-            for length, a in pieces:
-                add(frozenset(a), p * length)
-                used += length
-            if used < 1:
-                add(frozenset(), p * (1 - used))
+            for length, a in step_pieces(seq.group, seq.mu, w, seq.kernel(j)):
+                if length:
+                    a = frozenset(a)
+                    nxt[a] = nxt.get(a, Fraction(0)) + p * length
         states = list(nxt.items())
     return states
+
+
+def mask_tables(seq: KernelSeq, elements: list) -> list:
+    """Per-step ``(cums, succs)`` tables over subset bitmasks of a tiny
+    group, the input of ``fastpaths.masked_set_walk``.
+
+    Bit i of a mask stands for ``elements[i]``.  For each mask, ``cums``
+    are the cumulative float lengths of its ``step_pieces``, the last set to
+    exactly 1.0, and ``succs`` the masks of the pieces' sets.
+    """
+    g = seq.group
+    bit = {g.canonical_key(x): 1 << i for i, x in enumerate(elements)}
+    subsets = [{x for i, x in enumerate(elements) if mask >> i & 1}
+               for mask in range(1 << len(elements))]
+    tables = []
+    for j in range(1, seq.n + 1):
+        cums, succs = [], []
+        for w in subsets:
+            pieces = step_pieces(g, seq.mu, w, seq.kernel(j))
+            cu = list(accumulate(float(length) for length, _ in pieces))
+            cu[-1] = 1.0
+            cums.append(np.array(cu))
+            succs.append(np.array([sum(bit[g.canonical_key(y)] for y in a)
+                                   for _, a in pieces], dtype=np.int32))
+        tables.append((cums, succs))
+    return tables

@@ -29,11 +29,12 @@ divides by zero.  The forest's attachments (``forest._attachments``) use the
 same rule: one uniform keeps the edge and picks its target.
 
 Step codes are stored step-major, (n, m), in the smallest unsigned dtype
-that holds them, and a chunk holds at most ``_CODE_BUDGET`` bytes of them;
-a longer horizon runs in smaller chunks, and one that does not fit a single
-trial raises.  Results are merged in chunk order, so counts are identical
-for any thread count and any scheduling.  Changing this protocol changes
-every count.
+that holds them, and a chunk holds at most ``_CODE_BUDGET`` bytes of them
+and of the walk state that grows with the horizon (the lamplighter's lamp
+window, the tree's letter stack); a longer horizon runs in smaller chunks,
+and one that does not fit a single trial raises.  Results are merged in
+chunk order, so counts are identical for any thread count and any
+scheduling.  Changing this protocol changes every count.
 
 Everything here returns integer counts (or integer sums); turning counts into
 estimates with intervals happens one level up.
@@ -50,8 +51,10 @@ import numpy as np
 
 from . import forest
 from . import rng as rngmod
+from .groups import S3xZ, _S3_NAMES
 
-# Bytes of step codes one chunk may hold: 2^16 trials x 1024 one-byte steps.
+# Bytes of step codes (and horizon-sized state) one chunk may hold:
+# 2^16 trials x 1024 one-byte steps.
 _CODE_BUDGET = 64 << 20
 # Largest slot table a finite law is looked up in; beyond it, searchsorted.
 _MAX_SLOTS = 1024
@@ -138,20 +141,23 @@ def _replay_columns(rng, m: int, n: int, alpha: float, law: _Law, hook=None):
 
 def _replay_sums(law: _Law, alpha: float, checkpoints, start, trials: int,
                  seed: int, threads: int, tag: int, chunk: int,
-                 hook=None) -> dict:
+                 hook=None, state: int = 0) -> dict:
     """{checkpoint: observation summed over all trials}, in one pass.
 
     ``start(m)`` builds the state of a chunk of m trials and returns its
     ``(apply, observe)`` pair: ``apply(col)`` takes one step column and
     ``observe()`` counts (or sums) over the chunk's current positions.
-    Chunks hold at most ``chunk`` trials and ``_CODE_BUDGET`` bytes of codes.
+    Chunks hold at most ``chunk`` trials and ``_CODE_BUDGET`` bytes of codes
+    plus ``state``, each trial's bytes of horizon-sized walk state.
     """
     cps = sorted(set(int(c) for c in checkpoints))
     marks = set(cps)
-    per_trial = cps[-1] * np.dtype(law.dtype).itemsize * math.prod(law.row)
+    per_trial = (cps[-1] * np.dtype(law.dtype).itemsize * math.prod(law.row)
+                 + state)
     if per_trial > _CODE_BUDGET:
         raise ValueError(f"{cps[-1]} steps need {per_trial} bytes of codes "
-                         f"per trial, over the {_CODE_BUDGET}-byte budget")
+                         f"per trial (state included), over the "
+                         f"{_CODE_BUDGET}-byte budget")
     chunk = min(chunk, _CODE_BUDGET // per_trial)
 
     def worker(ci: int, m: int) -> np.ndarray:
@@ -364,7 +370,8 @@ def _tree_sums(d: int, alpha: float, rotate: bool, checkpoints, observe,
 
     return _replay_sums(_atom_law([1.0 / d] * d), alpha, checkpoints, start,
                         trials, seed, threads, tag, chunk,
-                        hook=rotation if rotate and d > 1 else None)
+                        hook=rotation if rotate and d > 1 else None,
+                        state=(n_max + 2) * _code_dtype(d + 1).itemsize)
 
 
 def tree_erw_origin_hits(d: int, alpha: float, rotate: bool, checkpoints,
@@ -389,20 +396,10 @@ def tree_erw_distance_sums(d: int, alpha: float, rotate: bool, n: int,
     return int(s), int(s2)
 
 
-# S3 permutations as image tuples, indexed; composition is left to right.
-_S3_ORDER = [(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]
-_S3_INDEX = {p: i for i, p in enumerate(_S3_ORDER)}
-
-
-def _s3_mult_table() -> np.ndarray:
-    t = np.zeros((6, 6), dtype=np.int8)
-    for i, p in enumerate(_S3_ORDER):
-        for j, q in enumerate(_S3_ORDER):
-            t[i, j] = _S3_INDEX[(q[p[0]], q[p[1]], q[p[2]])]
-    return t
-
-
-_S3_MULT = _s3_mult_table()
+# S3 permutations in the order of groups._S3_NAMES, and their products.
+_S3_INDEX = {p: i for i, p in enumerate(_S3_NAMES)}
+_S3_MULT = np.array([[_S3_INDEX[S3xZ().multiply((p, 0), (q, 0))[0]]
+                      for q in _S3_INDEX] for p in _S3_INDEX], dtype=np.int8)
 
 
 def s3z_target_hits(alpha: float, atoms, weights, checkpoints, target,
@@ -485,4 +482,5 @@ def lamplighter_origin_hits(alpha: float, weights, checkpoints, trials: int,
         return apply, lambda: ((marker == 0) & ~lamps.any(axis=1)).sum()
 
     return _counts(_replay_sums(_atom_law(weights), alpha, checkpoints, start,
-                                trials, seed, threads, 50, 1 << 14))
+                                trials, seed, threads, 50, 1 << 14,
+                                state=2 * off + 1))

@@ -4,8 +4,7 @@ Every walk in this package takes values in one of the groups below.  Elements
 are plain hashable Python values in a canonical form unique per group element,
 so ``==`` on values is group equality and histograms can key on them directly:
 
-* ``Z2``             -- bit 0/1
-* ``CycleZL(L)``     -- residue in ``[0, L)``
+* ``CycleZL(L)``     -- residue in ``[0, L)``; ``Z2`` is the cycle of order 2
 * ``IntegerLatticeZd(d)`` -- tuple of ints
 * ``EuclideanRd(d)`` -- tuple of floats (compared through binning only)
 * ``RegularTreeFree(d)``  -- reduced word over d involutive letters; the
@@ -81,50 +80,9 @@ class Group:
         return f"{type(self).__name__}({args})"
 
 
-class Z2(Group):
-    """The two-element group, elements 0 and 1 under addition mod 2."""
-
-    variant = "Z2"
-
-    def identity(self):
-        return 0
-
-    def multiply(self, a, b):
-        return (a + b) & 1
-
-    def inverse(self, a):
-        return a
-
-    def generators(self):
-        return [1]
-
-    def word_distance(self, a):
-        return a
-
-    def parse_element(self, text):
-        text = text.strip()
-        if text == "e":
-            return 0
-        v = int(text)
-        if v not in (0, 1):
-            raise ValueError(f"Z2 element must be 0 or 1, got {text!r}")
-        return v
-
-    def format_element(self, a):
-        return str(a)
-
-    def check_element(self, a):
-        if a not in (0, 1):
-            raise ValueError(f"not a Z2 element: {a!r}")
-        return a
-
-    @property
-    def is_abelian(self):
-        return True
-
-
 class CycleZL(Group):
-    """Cyclic group of order L, residues 0..L-1, generators +-1."""
+    """Cyclic group of order L, residues 0..L-1, generators +-1 (+1 alone
+    at L = 2)."""
 
     def __init__(self, L: int):
         if L < 2:
@@ -143,7 +101,7 @@ class CycleZL(Group):
         return (-a) % self.L
 
     def generators(self):
-        return [1 % self.L, (self.L - 1) % self.L]
+        return [1] if self.L == 2 else [1, self.L - 1]
 
     def word_distance(self, a):
         return min(a, self.L - a)
@@ -153,9 +111,9 @@ class CycleZL(Group):
         if text == "e":
             return 0
         if text == "+1":
-            return 1 % self.L
+            return 1
         if text == "-1":
-            return (self.L - 1) % self.L
+            return self.L - 1
         return self.check_element(int(text))
 
     def format_element(self, a):
@@ -169,6 +127,15 @@ class CycleZL(Group):
     @property
     def is_abelian(self):
         return True
+
+
+class Z2(CycleZL):
+    """The two-element group: the cycle of order 2."""
+
+    variant = "Z2"
+
+    def __init__(self):
+        CycleZL.__init__(self, 2)
 
 
 class IntegerLatticeZd(Group):
@@ -502,8 +469,8 @@ def group_from_literal(text: str) -> Group:
     """Build a group from a config literal.
 
     Accepted forms: ``z2``, ``cycle:L``, ``lattice:d``, ``rd:d`` (optionally
-    ``rd:d:bin_width``), ``tree:d``, ``lamplighter``, ``s3z``.  A cycle of
-    order 2 routes to ``Z2``, whose step conventions it shares.
+    ``rd:d:bin_width``), ``tree:d``, ``lamplighter``, ``s3z``; ``cycle:2``
+    is ``Z2``.
     """
     parts = text.strip().lower().split(":")
     head, args = parts[0], parts[1:]
@@ -593,7 +560,7 @@ class StepDistribution:
         e = group.identity()
         if isinstance(group, LamplighterZ):
             return cls.uniform([e] + group.generators())
-        if not isinstance(group, (Z2, CycleZL, IntegerLatticeZd)):
+        if not isinstance(group, (CycleZL, IntegerLatticeZd)):
             raise ValueError(f"no lazy shorthand for group {group.variant}")
         gens = group.generators()
         return cls(support=[(e, 0.5)] + [(g, 0.5 / len(gens)) for g in gens])

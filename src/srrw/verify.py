@@ -24,9 +24,9 @@ from . import estimators, fastpaths
 from . import rng as rngmod
 from .elephant import (cycle_distribution, decay_bound_sweep, lambda_bounds_check,
                        lambda_table)
-from .evolving import (compose_matrices, enumerate_group, iso_profile,
-                       kernel_seq_from_forest, martingale_defect, psi_profile,
-                       set_tree, threshold_pieces, DeterministicStep)
+from .evolving import (DeterministicStep, MuStep, compose_matrices,
+                       enumerate_group, iso_profile, kernel_seq_from_forest,
+                       martingale_defect, mask_tables, psi_profile, set_tree)
 from .forest import assign_and_assemble, grow, isolated_counts_batch
 from .groups import CycleZL, IntegerLatticeZd, S3xZ, StepDistribution, Z2
 from .oracle import exact_distribution, exact_isolated_distribution, tv_distance
@@ -52,10 +52,14 @@ class CriterionResult:
                 "pass": bool(self.passed)}
 
 
-def _lazy_cycle_mu(L: int) -> StepDistribution:
-    if L == 2:
-        return StepDistribution(support=[(0, 0.5), (1, 0.5)])
-    return StepDistribution(support=[(1, 0.5), (L - 1, 0.5)])
+def _max_abs_z(pairs, trials: int) -> float:
+    """Largest |hits / trials - p| / sigma over (hits, p) pairs, sigma the
+    binomial standard error at p (its variance floored at 1e-12)."""
+    worst = 0.0
+    for hits, p in pairs:
+        sigma = math.sqrt(max(p * (1 - p), 1e-12) / trials)
+        worst = max(worst, abs(hits / trials - p) / sigma)
+    return worst
 
 
 def suite_z2_sandwich(seed: int = DEFAULT_SEED, threads: int = 1):
@@ -88,7 +92,7 @@ def suite_z2_sandwich(seed: int = DEFAULT_SEED, threads: int = 1):
 def suite_oracle_agreement(seed: int = DEFAULT_SEED, threads: int = 1):
     """Exact enumeration against the polynomial apparatus."""
     g2 = Z2()
-    mu2 = StepDistribution(support=[(0, 0.5), (1, 0.5)])
+    mu2 = StepDistribution.lazy(g2)
     worst_gap = 0.0
     for alpha in _ALPHA_GRID:
         table = lambda_table(alpha, 8)
@@ -107,7 +111,7 @@ def suite_oracle_agreement(seed: int = DEFAULT_SEED, threads: int = 1):
     worst_cyc = 0.0
     for L in (3, 4, 5):
         g = CycleZL(L)
-        mu = _lazy_cycle_mu(L)
+        mu = StepDistribution.uniform(g.generators())
         for alpha in (0.1, 0.5, 0.9):
             cfg = SrrwConfig(group=g, alpha=alpha, mu=mu)
             for n in range(1, 8):
@@ -129,9 +133,9 @@ def suite_sampler_triangle(seed: int = DEFAULT_SEED, threads: int = 1):
     """Sequential sampler, forest sampler, and oracle agree in law."""
     results = []
     trials = 10 ** 6
-    for L in (2, 3):
-        g = Z2() if L == 2 else CycleZL(L)
-        mu = _lazy_cycle_mu(L)
+    c3 = CycleZL(3)
+    for g, mu in ((Z2(), StepDistribution.lazy(Z2())),
+                  (c3, StepDistribution.uniform(c3.generators()))):
         cfg = SrrwConfig(group=g, alpha=0.5, mu=mu)
         dist = exact_distribution(cfg, 6)
         for via_forest in (False, True):
@@ -141,7 +145,7 @@ def suite_sampler_triangle(seed: int = DEFAULT_SEED, threads: int = 1):
             tv = tv_distance(hist, dist)
             route = "forest" if via_forest else "sequential"
             results.append(CriterionResult(
-                criterion=f"sampler-triangle-L{L}-{route}",
+                criterion=f"sampler-triangle-L{g.L}-{route}",
                 expected="TV(empirical, exact) <= 0.005 at n = 6, 1e6 trials",
                 observed=f"TV = {tv:.5f}",
                 tolerance="0.005",
@@ -217,11 +221,8 @@ def suite_isolated(seed: int = DEFAULT_SEED, threads: int = 1):
     rng = rngmod.stream(seed, 65)
     counts = isolated_counts_batch(n, alpha, trials, rng)
     hist = np.bincount(counts, minlength=n + 1)
-    worst_z = 0.0
-    for i in range(n + 1):
-        p = law.get(i, 0.0)
-        sigma = math.sqrt(max(p * (1 - p), 1e-12) / trials)
-        worst_z = max(worst_z, abs(hist[i] / trials - p) / sigma)
+    worst_z = _max_abs_z(((hist[i], law.get(i, 0.0)) for i in range(n + 1)),
+                         trials)
     r2 = CriterionResult(
         criterion="isolated-exact-vs-mc",
         expected="exact fresh-draw law matches MC per count value, n = 10",
@@ -326,45 +327,6 @@ def suite_tree_erw(seed: int = DEFAULT_SEED, threads: int = 1):
     return results
 
 
-def _mask_tables(seq, elements):
-    """Per-step threshold tables over subset bitmasks for tiny groups."""
-    g = seq.group
-    key_index = {g.canonical_key(x): i for i, x in enumerate(elements)}
-    n_states = len(elements)
-    tables = []
-    for j in range(1, seq.n + 1):
-        tag = seq.kernel(j)
-        cums, succs = [], []
-        for mask in range(1 << n_states):
-            w = {elements[i] for i in range(n_states) if mask >> i & 1}
-            if not w:
-                cums.append(np.array([1.0]))
-                succs.append(np.array([0], dtype=np.int32))
-                continue
-            if isinstance(tag, DeterministicStep):
-                nm = 0
-                for x in w:
-                    nm |= 1 << key_index[g.canonical_key(
-                        g.multiply(x, tag.g))]
-                cums.append(np.array([1.0]))
-                succs.append(np.array([nm], dtype=np.int32))
-                continue
-            acc, cu, su = 0.0, [], []
-            for length, a in threshold_pieces(g, seq.mu, w):
-                acc += float(length)
-                nm = 0
-                for y in a:
-                    nm |= 1 << key_index[g.canonical_key(y)]
-                cu.append(acc)
-                su.append(nm)
-            cu.append(1.0)
-            su.append(0)  # above the top level the next set is empty
-            cums.append(np.array(cu))
-            succs.append(np.array(su, dtype=np.int32))
-        tables.append((cums, succs))
-    return tables
-
-
 def suite_evolving_exact(seed: int = DEFAULT_SEED, threads: int = 1):
     """Martingale identity, trajectory law, and the root-growth inequality."""
     rng = rngmod.stream(seed, 90)
@@ -392,12 +354,10 @@ def suite_evolving_exact(seed: int = DEFAULT_SEED, threads: int = 1):
         passed=bad == 0)
 
     g = CycleZL(5)
-    mu = _lazy_cycle_mu(5)
-    cfg = SrrwConfig(group=g, alpha=0.5, mu=mu)
+    cfg = SrrwConfig(group=g, alpha=0.5,
+                     mu=StepDistribution.uniform(g.generators()))
     # scan for a forest whose kernel tags mix both kinds, else the
     # trajectory comparison degenerates to a 0/1 check
-    from .evolving import MuStep
-
     for attempt in range(100):
         forest = grow(6, 0.5, rngmod.stream(seed, 91, attempt))
         trace = assign_and_assemble(forest, cfg, rngmod.stream(seed, 92,
@@ -408,16 +368,13 @@ def suite_evolving_exact(seed: int = DEFAULT_SEED, threads: int = 1):
             break
     elements = enumerate_group(g)
     dense = compose_matrices(seq, elements, 0, 6)
-    tables = _mask_tables(seq, elements)
+    tables = mask_tables(seq, elements)
     trials = 10 ** 5
     counts = fastpaths.masked_set_walk(tables, 1 << 0, len(elements), trials,
                                        seed, threads=threads)
-    worst_z = 0.0
-    for iy in range(len(elements)):
-        hits = int(sum(c for m, c in enumerate(counts) if m >> iy & 1))
-        p = dense[0, iy]
-        sigma = math.sqrt(max(p * (1 - p), 1e-12) / trials)
-        worst_z = max(worst_z, abs(hits / trials - p) / sigma)
+    worst_z = _max_abs_z(
+        ((int(sum(c for m, c in enumerate(counts) if m >> iy & 1)),
+          dense[0, iy]) for iy in range(len(elements))), trials)
     r2 = CriterionResult(
         criterion="evolving-trajectory-law",
         expected="membership frequency matches dense kernel composition",

@@ -174,6 +174,20 @@ def test_refused_simulate_inputs_exit_with_an_error(capsys):
             render_bytes(argv)
 
 
+def test_horizons_below_one_exit_with_an_error(capsys):
+    sim = ["simulate", "--alpha", "0.5", "--mu", "lazy", "--trials", "10",
+           "--target", "e"]
+    trace = ["evoset", "trace", "--group", "cycle:5", "--alpha", "0.5",
+             "--mu", "pm1"]
+    for argv, reason in ((sim + ["--group", "cycle:5", "--n", ""], "--n: "),
+                         (sim + ["--group", "lattice:2", "--n", "0,4"],
+                          "simulate: horizons must be integers >= 1"),
+                         (trace + ["--n", ""], "--n: "),
+                         (trace + ["--n", "0"], "--n: ")):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: " + reason), argv
+
+
 def test_main_stdout_default(capsysbinary):
     argv = ["poly", "gap", "--alpha", "0.5", "--n", "4"]
     assert main(argv) == 0

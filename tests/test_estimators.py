@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from srrw.estimators import (isolated_tail_check, mc_escape_rate,
+from srrw.estimators import (ball_curve, isolated_tail_check, mc_escape_rate,
                              mc_point_mass, point_mass_curve, rate_fit)
 from srrw.groups import IntegerLatticeZd, StepDistribution
 from srrw.oracle import exact_distribution
@@ -122,3 +122,13 @@ def test_class_function_decay_slope_iid_line():
     assert fit.model == "power"
     assert len(fit.used) == 5
     assert -0.62 <= fit.slope <= -0.38
+
+
+def test_horizons_below_one_are_refused():
+    cfg = SrrwConfig(group=IntegerLatticeZd(2), alpha=0.5,
+                     mu=StepDistribution.lazy(IntegerLatticeZd(2)))
+    for ns in ([], [0, 4], [-1]):
+        with pytest.raises(ValueError, match="horizons"):
+            point_mass_curve(cfg, ns, (0, 0), 10, 1)
+        with pytest.raises(ValueError, match="horizons"):
+            ball_curve(cfg, ns, 2.0, 10, 1)

@@ -13,8 +13,9 @@ from srrw.evolving import (DeterministicStep, KernelSeq, MuStep, bottleneck,
                            compose_matrices, connected_sets, doob_step,
                            enumerate_group, evolve_step, iso_profile,
                            kernel_matrix, kernel_seq_from_forest,
-                           martingale_defect, mass_profile, psi, psi_profile,
-                           set_tree, threshold_pieces,
+                           martingale_defect, mask_tables, mass_profile, psi,
+                           psi_profile, set_tree, step_pieces,
+                           threshold_pieces,
                            transition_via_evolving_sets)
 from srrw.forest import PercolatedForest
 from srrw.groups import CycleZL, IntegerLatticeZd, StepDistribution
@@ -234,6 +235,40 @@ def test_set_tree_matches_kernel_power_exactly():
         assert math.isclose(float(hit), prod[0, y], abs_tol=1e-12)
     # the empty set is reachable and absorbing here
     assert any(not w and p > 0 for w, p in states)
+
+
+def test_step_pieces_cover_the_unit_interval():
+    g, mu = lazy_on(5)
+    mixed = step_pieces(g, mu, {0}, MuStep())
+    assert mixed == threshold_pieces(g, mu, {0}) + [(Fraction(1, 2), set())]
+    assert step_pieces(g, mu, {0, 1}, DeterministicStep(3)) == [
+        (1, {3, 4})]
+    assert step_pieces(g, mu, set(), MuStep()) == [(1, set())]
+    # a full group keeps all its mass: the empty piece has length 0
+    assert step_pieces(g, mu, set(range(5)), MuStep())[-1] == (0, set())
+
+
+def test_mask_tables_law_equals_set_tree():
+    # the tables' piece lengths, taken as probabilities, give the exact law
+    g, mu = lazy_on(5)
+    elems = sorted(enumerate_group(g))
+    seq = KernelSeq(group=g, mu=mu, tags=[MuStep(), DeterministicStep(3),
+                                          MuStep(), MuStep()])
+    tables = mask_tables(seq, elems)
+    for start in ({0}, {0, 2}):
+        law = {sum(1 << x for x in start): Fraction(1)}
+        for ell, (cums, succs) in enumerate(tables, start=1):
+            nxt = {}
+            for mask, p in law.items():
+                assert cums[mask][-1] == 1.0
+                edges = [Fraction(0)] + [Fraction(c) for c in cums[mask]]
+                for lo, hi, succ in zip(edges, edges[1:], succs[mask]):
+                    if hi > lo:
+                        nxt[int(succ)] = nxt.get(int(succ), 0) + p * (hi - lo)
+            law = nxt
+            exact = {sum(1 << x for x in w): p
+                     for w, p in set_tree(seq, start, 0, ell)}
+            assert law == exact, (start, ell)
 
 
 def test_transition_estimator_agrees_and_reproduces():

@@ -124,6 +124,14 @@ def test_s3z_engine_vs_exact():
         exact = exact_distribution(cfg, n).prob(g.canonical_key(target))
         assert abs(z_score(est, exact)) < 4
     assert mc_point_mass(cfg, 5, e, 40000, SEED).value == 0.0
+    # with a 3-cycle atom the product order shows: a table multiplying in
+    # reverse puts 0.094 on (23)|0 at n = 3, against the exact 0.0625
+    cfg = SrrwConfig(group=g, alpha=0.5, mu=StepDistribution(
+        support=[(((1, 0, 2), 0), 0.5), (((1, 2, 0), 0), 0.5)]))
+    target = ((0, 2, 1), 0)
+    est = mc_point_mass(cfg, 3, target, 40000, SEED)
+    exact = exact_distribution(cfg, 3).prob(g.canonical_key(target))
+    assert abs(z_score(est, exact)) < 4
 
 
 def test_lamplighter_engine_vs_exact():
@@ -324,6 +332,28 @@ def test_over_budget_codes_run_in_smaller_chunks(monkeypatch):
     for name, run in _engine_calls(n).items():
         with pytest.raises(ValueError):
             run(1)
+
+
+def test_horizon_sized_state_counts_against_the_budget(monkeypatch):
+    # 40 one-byte codes per trial, plus 2n + 1 lamp bytes or n + 2 letter
+    # stack bytes: 4000 bytes hold 100 trials of codes, 33 or 48 with state
+    n = 40
+    real = rngmod.stream
+    engines = _engine_calls(n)
+    for name, state in (("lamplighter", 2 * n + 1), ("tree", n + 2),
+                        ("tree-distance", n + 2)):
+        monkeypatch.setattr(fastpaths, "_CODE_BUDGET", 100 * n)
+        keys = []
+        monkeypatch.setattr(rngmod, "stream",
+                            lambda *key: keys.append(key) or real(*key))
+        engines[name](1)
+        rows = 100 * n // (n + state)
+        assert len(keys) == math.ceil(250 / rows) > math.ceil(250 / 100), name
+        monkeypatch.setattr(rngmod, "stream", real)
+        # one trial's codes fit, its codes and state do not
+        monkeypatch.setattr(fastpaths, "_CODE_BUDGET", n + state - 1)
+        with pytest.raises(ValueError, match="state included"):
+            engines[name](1)
 
 
 def test_lattice_positions_past_the_packing_limit():

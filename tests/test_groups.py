@@ -302,3 +302,15 @@ def test_fraction_weights_validate():
     mu = StepDistribution(support=[(0, Fraction(1, 3)), (1, Fraction(2, 3))])
     mu.validate(g)
     assert mu.lazy_mass(g) == Fraction(1, 3)
+
+
+def test_cycle_of_order_two_is_z2():
+    # one generator at L = 2, so the lazy law has no duplicate atom
+    assert CycleZL(2).generators() == [1]
+    assert (StepDistribution.lazy(CycleZL(2)).support
+            == StepDistribution.lazy(Z2()).support)
+    g = Z2()
+    assert isinstance(g, CycleZL) and g.L == 2 and g.variant == "Z2"
+    assert g.parse_element("+1") == g.parse_element("-1") == 1
+    with pytest.raises(ValueError):
+        g.check_element(1.0)

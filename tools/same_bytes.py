@@ -1,0 +1,109 @@
+"""Check that a change leaves every verify row and CLI artifact byte-identical.
+
+    python3 tools/same_bytes.py [--base REV] [--threads N]
+
+REV (default HEAD) is written to a temporary directory with ``git archive``;
+the change is this working tree as it stands, edits included.  In each tree,
+one fresh process runs every ``srrw verify`` suite alone at seed 1729 and
+keeps each row's ``as_json()``, then renders each argv list in ``ARGVS``
+with ``cli.render_bytes``.  The two processes run side by side, each with
+``--threads N`` (default 1).  The tool prints every item that differs or
+exists on one side only, and exits with status 1 if there is one, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 1729
+
+
+def _simulate(group, mu, *extra):
+    return ["simulate", "--group", group, "--alpha", "0.5", "--mu", mu,
+            "--n", "4,8,16", "--trials", "20000", "--target", "e",
+            "--seed", str(SEED), *extra]
+
+
+def _evoset(mode, group, mu):
+    return ["evoset", mode, "--group", group, "--alpha", "0.5", "--mu", mu,
+            "--n", "12", "--seed", str(SEED)]
+
+
+ARGVS = (
+    [_simulate(g, "lazy") for g in ("z2", "cycle:2", "cycle:5", "lattice:1",
+                                     "lattice:3", "lamplighter")]
+    + [_simulate(g, "pm1") for g in ("z2", "cycle:5")]
+    + [_simulate(g, "gens") for g in ("lattice:3", "tree:3", "s3z")]
+    + [_simulate("tree:3", "gens", "--transform", "erw_rotation")]
+    + [["exact", "--group", g, "--alpha", "0.5", "--mu", "lazy", "--n", "6"]
+       for g in ("z2", "cycle:5")]
+    + [_evoset("trace", "cycle:5", "pm1"),
+       _evoset("trace", "lattice:2", "lazy"),
+       _evoset("profile", "z2", "lazy")]
+    + [["poly", "lambda", "--alpha", "0.5", "--nmax", "40"]]
+)
+
+
+def collect(threads: int) -> dict:
+    """{item name: JSON text or artifact digest} for the srrw on sys.path."""
+    from srrw import cli, verify
+
+    out = {}
+    for suite in verify.SUITES:
+        for row in verify.run_suites([suite], seed=SEED, threads=threads):
+            out[f"verify {row.criterion}"] = json.dumps(row.as_json())
+    for argv in ARGVS:
+        data = cli.render_bytes(argv + ["--threads", str(threads)])
+        out["srrw " + " ".join(argv)] = hashlib.sha256(data).hexdigest()
+    return out
+
+
+def start(tree: Path, threads: int) -> subprocess.Popen:
+    """Run ``collect`` in a fresh process that imports srrw from ``tree``."""
+    code = (f"import json, sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); "
+            f"import same_bytes; "
+            f"print(json.dumps(same_bytes.collect({threads})))")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return subprocess.Popen([sys.executable, "-c", code], cwd=tree, env=env,
+                            stdout=subprocess.PIPE, text=True)
+
+
+def finish(proc: subprocess.Popen) -> dict:
+    stdout, _ = proc.communicate()
+    if proc.returncode:
+        raise SystemExit(f"collect failed with status {proc.returncode}")
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", default="HEAD")
+    ap.add_argument("--threads", type=int, default=1)
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        data = subprocess.run(["git", "archive", "--format=tar", args.base],
+                              cwd=ROOT, check=True,
+                              stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=data, check=True)
+        procs = [start(Path(tmp), args.threads), start(ROOT, args.threads)]
+        base, change = [finish(p) for p in procs]
+    differ = [k for k in sorted(base.keys() | change.keys())
+              if base.get(k) != change.get(k)]
+    for k in differ:
+        print(f"DIFFERS: {k}")
+    rows = sum(k.startswith("verify ") for k in change)
+    print(f"{len(change) - len(differ)} of {len(change)} items identical "
+          f"({rows} verify rows, {len(change) - rows} artifacts)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
