@@ -112,15 +112,12 @@ def _run_simulate(args) -> bytes:
             target = cfg.group.parse_element(args.target)
         except (ValueError, TypeError) as ex:
             raise CliError(f"--target: {ex}")
-    try:
-        if args.target is not None:
-            pts = point_mass_curve(cfg, ns, target, args.trials, args.seed,
-                                   threads=args.threads)
-        else:
-            pts = ball_curve(cfg, ns, args.ball_r, args.trials, args.seed,
-                             threads=args.threads)
-    except ValueError as ex:
-        raise CliError(f"simulate: {ex}")
+    if args.target is not None:
+        pts = point_mass_curve(cfg, ns, target, args.trials, args.seed,
+                               threads=args.threads)
+    else:
+        pts = ball_curve(cfg, ns, args.ball_r, args.trials, args.seed,
+                         threads=args.threads)
     rows = [(n, e.value, e.stderr, e.ci_low, e.ci_high, e.trials)
             for n, e in pts]
     meta = _meta(args, ("group", "alpha", "mu", "transform", "n", "trials",
@@ -135,10 +132,7 @@ def _run_exact(args) -> bytes:
     ns = _parse_list(args.n, "--n")
     if len(ns) != 1:
         raise CliError("--n: exact takes a single horizon")
-    try:
-        dist = exact_distribution(cfg, ns[0], n_cap=args.cap)
-    except ValueError as ex:
-        raise CliError(f"exact: {ex}")
+    dist = exact_distribution(cfg, ns[0], n_cap=args.cap)
     rows = sorted((cfg.group.format_element(dist.rep[k]), p)
                   for k, p in dist.mass.items())
     meta = _meta(args, ("group", "alpha", "mu", "transform", "n"))
@@ -323,20 +317,22 @@ def _apply_config_file(argv):
     return argv + extra
 
 
+_RUNNERS = {"simulate": _run_simulate, "exact": _run_exact,
+            "poly": _run_poly, "evoset": _run_evoset}
+
+
 def render_bytes(argv) -> bytes:
     """Run one invocation and return its artifact; used by the determinism
-    suite to compare thread counts without touching the filesystem."""
+    suite to compare thread counts without touching the filesystem.  A
+    library ValueError becomes a CliError naming the subcommand."""
     argv = _apply_config_file(list(argv))
     args = build_parser().parse_args(argv)
-    if args.subcommand == "simulate":
-        return _run_simulate(args)
-    if args.subcommand == "exact":
-        return _run_exact(args)
-    if args.subcommand == "poly":
-        return _run_poly(args)
-    if args.subcommand == "evoset":
-        return _run_evoset(args)
-    raise CliError(f"render_bytes does not cover {args.subcommand!r}")
+    if args.subcommand not in _RUNNERS:
+        raise CliError(f"render_bytes does not cover {args.subcommand!r}")
+    try:
+        return _RUNNERS[args.subcommand](args)
+    except ValueError as ex:
+        raise CliError(f"{args.subcommand}: {ex}")
 
 
 def main(argv=None) -> int:

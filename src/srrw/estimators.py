@@ -1,10 +1,10 @@
 """Monte Carlo estimators and decay-rate fits for reinforced walks.
 
-The entry points take an SrrwConfig and dispatch: configurations matching one
-of the vectorized engines run there, everything else falls back to a generic
-per-trial loop over sample_walk.  Both routes chunk their trials and derive
-one substream per chunk, so every estimate is reproducible bit for bit
-independent of thread count.
+Each entry point validates its input and asks ``_engine``, the one place
+that picks a vectorized engine for a config and a query; when none serves
+it, the estimate runs on the per-trial loop over sample_walk.  Both routes
+chunk their trials and derive one substream per chunk, so every estimate is
+reproducible bit for bit independent of thread count.
 
 Rates are fitted by weighted least squares on log probabilities; a point
 enters the fit only when its interval excludes zero, since log of an estimate
@@ -28,69 +28,79 @@ from .stats import Z95, Estimate, binomial_estimate, mean_estimate
 
 _GENERIC_CHUNK = 2048
 
-
-def _tree_erw(config):
-    """(d, alpha, rotate) of an elephant walk on the tree with uniform
-    letters, or None."""
-    if not isinstance(config.group, RegularTreeFree):
-        return None
-    if not isinstance(config.transform, (Identity, ErwRotation)):
-        return None
-    d, sup = config.group.d, config.mu.support
-    if (sup is None or sorted(g for g, _ in sup) != config.group.generators()
-            or any(abs(w - 1.0 / d) > 1e-12 for _, w in sup)):
-        return None
-    return (d, config.alpha,
-            isinstance(config.transform, ErwRotation))
+# The lamplighter engine's atom order: stay, toggle, marker +1, marker -1.
+_LAMP_ATOMS = {(frozenset(), 0): 0, (frozenset([0]), 0): 1,
+               (frozenset(), 1): 2, (frozenset(), -1): 3}
 
 
-def _fast_curve(config, n_list, target, trials, seed, threads):
-    """Counts per horizon from a vectorized engine, or None."""
-    group = config.group
-    key = group.canonical_key(target)
+def _engine(config, query, arg=None):
+    """The vectorized engine serving ``query`` on config, or None.
+
+    ``query`` is "point" (arg: the target), "ball" (arg: the radius),
+    "histogram" (arg: via_forest) or "escape".  The engine comes back as a
+    call ``(horizons or n, trials, seed, threads) -> counts``; None sends the
+    estimate to the per-trial route.  Engines are looked up in ``fastpaths``
+    when called, so a wrapped module attribute is the one that runs.
+    """
+    group, sup, alpha = config.group, config.mu.support, config.alpha
+    at_e = (query == "point" and group.canonical_key(arg)
+            == group.canonical_key(group.identity()))
     if isinstance(group, RegularTreeFree):
-        erw = _tree_erw(config)
-        if erw is None or key != group.canonical_key(group.identity()):
+        d = group.d
+        if (not (at_e or query == "escape")
+                or not isinstance(config.transform, (Identity, ErwRotation))
+                or sup is None
+                or sorted(g for g, _ in sup) != group.generators()
+                or any(abs(w - 1.0 / d) > 1e-12 for _, w in sup)):
             return None
-        return fastpaths.tree_erw_origin_hits(*erw, n_list, trials, seed,
-                                              threads=threads)
+        rot = isinstance(config.transform, ErwRotation)
+        if at_e:
+            return lambda ns, t, s, th: fastpaths.tree_erw_origin_hits(
+                d, alpha, rot, ns, t, s, threads=th)
+        return lambda n, t, s, th: fastpaths.tree_erw_distance_sums(
+            d, alpha, rot, n, t, s, threads=th)
     if not isinstance(config.transform, Identity):
         return None
-    sup = config.mu.support
+    if (isinstance(group, EuclideanRd) and query == "ball"
+            and config.mu.family == "gaussian"):
+        return lambda ns, t, s, th: fastpaths.gaussian_ball_hits(
+            group.d, alpha, ns, arg, t, s, threads=th)
     if sup is None:
         return None
-    weights = [w for _, w in sup]
-    if isinstance(group, IntegerLatticeZd):
-        disps = np.array([g for g, _ in sup], dtype=np.int64)
-        return fastpaths.lattice_target_hits(disps, weights, config.alpha,
-                                             n_list, np.asarray(target),
-                                             trials, seed, threads=threads)
-    if isinstance(group, S3xZ):
-        return fastpaths.s3z_target_hits(config.alpha, [g for g, _ in sup],
-                                         weights, n_list, target, trials,
-                                         seed, threads=threads)
-    if isinstance(group, LamplighterZ):
-        if key != group.canonical_key(group.identity()):
-            return None
-        order = {(frozenset(), 0): 0, (frozenset([0]), 0): 1,
-                 (frozenset(), 1): 2, (frozenset(), -1): 3}
-        w4 = [0.0, 0.0, 0.0, 0.0]
+    atoms, weights = [g for g, _ in sup], [w for _, w in sup]
+    if isinstance(group, IntegerLatticeZd) and query == "point":
+        return lambda ns, t, s, th: fastpaths.lattice_target_hits(
+            atoms, weights, alpha, ns, arg, t, s, threads=th)
+    if isinstance(group, IntegerLatticeZd) and query == "ball":
+        return lambda ns, t, s, th: fastpaths.lattice_ball_hits(
+            atoms, weights, alpha, ns, arg, t, s, threads=th)
+    if isinstance(group, S3xZ) and query == "point":
+        return lambda ns, t, s, th: fastpaths.s3z_target_hits(
+            alpha, atoms, weights, ns, arg, t, s, threads=th)
+    if isinstance(group, LamplighterZ) and at_e:
+        w4 = [0.0] * 4
         for g, w in sup:
             k = (frozenset(g[0]), g[1])
-            if k not in order:
+            if k not in _LAMP_ATOMS:
                 return None
-            w4[order[k]] = w
-        return fastpaths.lamplighter_origin_hits(config.alpha, w4, n_list,
-                                                 trials, seed,
-                                                 threads=threads)
+            w4[_LAMP_ATOMS[k]] = w
+        return lambda ns, t, s, th: fastpaths.lamplighter_origin_hits(
+            alpha, w4, ns, t, s, threads=th)
+    if isinstance(group, CycleZL) and query == "histogram":
+        return lambda n, t, s, th: fastpaths.cyclic_histogram(
+            group.L, alpha, atoms, weights, n, t, s, threads=th,
+            via_forest=arg)
     return None
 
 
-def _horizons(n_list) -> list:
-    """Distinct horizons in increasing order; at least one, each >= 1."""
+def _horizons(n_list, trials) -> list:
+    """Distinct horizons in increasing order; at least one, each >= 1, over
+    at least one trial."""
     ns = sorted(set(int(n) for n in n_list))
     if not ns or ns[0] < 1:
         raise ValueError(f"horizons must be integers >= 1, got {ns}")
+    if trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials}")
     return ns
 
 
@@ -102,13 +112,24 @@ def point_mass_curve(config: SrrwConfig, n_list, target, trials: int,
     per-horizon estimates share underlying trials; horizons are then
     correlated but each estimate is individually unbiased.
     """
-    n_list = _horizons(n_list)
-    hits = _fast_curve(config, n_list, target, trials, seed, threads)
-    if hits is None:
-        key = config.group.canonical_key
-        tkey = key(target)
-        hits = _per_trial_hits(config, n_list, lambda pos: key(pos) == tkey,
-                               60, trials, seed, threads)
+    key = config.group.canonical_key
+    tkey = key(target)
+    return _curve(config, "point", target, n_list,
+                  lambda pos: key(pos) == tkey, 60, trials, seed, threads)
+
+
+def _curve(config, query, arg, n_list, hit, tag, trials, seed, threads):
+    """[(n, estimate of P(hit(S_n)))] at each horizon, counted by the engine
+    serving (query, arg), else by per-trial walks on stream ``tag``."""
+    n_list = _horizons(n_list, trials)
+    run = _engine(config, query, arg)
+    if run is not None:
+        hits = run(n_list, trials, seed, threads)
+    else:
+        total = _per_trial(config, n_list[-1], tag, trials, seed, threads,
+                           lambda trace: {n: 1 for n in n_list
+                                          if hit(trace.positions[n])})
+        hits = {n: total.get(n, 0) for n in n_list}
     return [(n, binomial_estimate(hits[n], trials)) for n in n_list]
 
 
@@ -142,14 +163,6 @@ def _per_trial(config, n, tag, trials, seed, threads, observe,
     return total
 
 
-def _per_trial_hits(config, n_list, hit, tag, trials, seed, threads) -> dict:
-    """{n: number of trials with hit(S_n)} over the per-trial route."""
-    total = _per_trial(config, n_list[-1], tag, trials, seed, threads,
-                       lambda trace: {n: 1 for n in n_list
-                                      if hit(trace.positions[n])})
-    return {n: total.get(n, 0) for n in n_list}
-
-
 def mc_point_mass(config: SrrwConfig, n: int, target, trials: int, seed: int,
                   threads: int = 1) -> Estimate:
     """Estimate P(S_n = target)."""
@@ -164,49 +177,25 @@ def mc_histogram(config: SrrwConfig, n: int, trials: int, seed: int,
     sequential walk; the two agree in law, which is exactly what the
     distributional tests compare.
     """
-    group = config.group
-    sup = config.mu.support
-    if (isinstance(group, CycleZL) and sup is not None
-            and isinstance(config.transform, Identity)):
-        atoms = [g for g, _ in sup]
-        weights = [w for _, w in sup]
-        counts = fastpaths.cyclic_histogram(group.L, config.alpha, atoms,
-                                            weights, n, trials, seed,
-                                            threads=threads,
-                                            via_forest=via_forest)
+    _horizons([n], trials)
+    run = _engine(config, "histogram", via_forest)
+    if run is not None:
+        counts = run(n, trials, seed, threads)
         return {r: int(c) for r, c in enumerate(counts) if c > 0}
-
+    key = config.group.canonical_key
     return _per_trial(config, n, 61, trials, seed, threads,
-                      lambda trace: {group.canonical_key(trace.final): 1},
+                      lambda trace: {key(trace.final): 1},
                       via_forest=via_forest)
 
 
 def ball_curve(config: SrrwConfig, n_list, radius: float, trials: int,
                seed: int, threads: int = 1):
     """P(|S_n| < radius) estimates at each horizon, Euclidean norm."""
-    group = config.group
-    if not isinstance(group, (IntegerLatticeZd, EuclideanRd)):
+    if not isinstance(config.group, (IntegerLatticeZd, EuclideanRd)):
         raise ValueError("ball estimates need coordinate positions")
-    n_list = _horizons(n_list)
-    hits = None
-    if isinstance(config.transform, Identity):
-        sup = config.mu.support
-        if isinstance(group, IntegerLatticeZd) and sup is not None:
-            disps = np.array([g for g, _ in sup], dtype=np.int64)
-            weights = [w for _, w in sup]
-            hits = fastpaths.lattice_ball_hits(disps, weights, config.alpha,
-                                               n_list, radius, trials, seed,
-                                               threads=threads)
-        elif isinstance(group, EuclideanRd) and config.mu.family == "gaussian":
-            hits = fastpaths.gaussian_ball_hits(group.d, config.alpha,
-                                                n_list, radius, trials, seed,
-                                                threads=threads)
-    if hits is None:
-        hits = _per_trial_hits(
-            config, n_list,
-            lambda pos: math.sqrt(sum(x * x for x in pos)) < radius, 62,
-            trials, seed, threads)
-    return [(n, binomial_estimate(hits[n], trials)) for n in n_list]
+    return _curve(config, "ball", radius, n_list,
+                  lambda pos: math.sqrt(sum(x * x for x in pos)) < radius, 62,
+                  trials, seed, threads)
 
 
 def mc_ball(config: SrrwConfig, n: int, radius: float, trials: int,
@@ -219,11 +208,10 @@ def mc_ball(config: SrrwConfig, n: int, radius: float, trials: int,
 def mc_escape_rate(config: SrrwConfig, n: int, trials: int, seed: int,
                    threads: int = 1) -> Estimate:
     """Estimate E[d(e, S_n) / n], the normalized escape speed."""
-    erw = _tree_erw(config)
-    if erw is not None:
-        s, s2 = fastpaths.tree_erw_distance_sums(*erw, n, trials, seed,
-                                                 threads=threads)
-        est = mean_estimate(float(s), float(s2), trials)
+    _horizons([n], trials)
+    run = _engine(config, "escape")
+    if run is not None:
+        s, s2 = run(n, trials, seed, threads)
     else:
         word_distance = config.group.word_distance
 
@@ -232,7 +220,8 @@ def mc_escape_rate(config: SrrwConfig, n: int, trials: int, seed: int,
             return {1: dd, 2: dd * dd}
 
         total = _per_trial(config, n, 63, trials, seed, threads, moments)
-        est = mean_estimate(total[1], total[2], trials)
+        s, s2 = total[1], total[2]
+    est = mean_estimate(float(s), float(s2), trials)
     scale = 1.0 / n
     return Estimate(value=est.value * scale, stderr=est.stderr * scale,
                     ci_low=est.ci_low * scale, ci_high=est.ci_high * scale,

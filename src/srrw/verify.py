@@ -28,10 +28,10 @@ from .evolving import (DeterministicStep, MuStep, compose_matrices,
                        enumerate_group, iso_profile, kernel_seq_from_forest,
                        martingale_defect, mask_tables, psi_profile, set_tree)
 from .forest import assign_and_assemble, grow, isolated_counts_batch
-from .groups import CycleZL, IntegerLatticeZd, S3xZ, StepDistribution, Z2
+from .groups import (CycleZL, IntegerLatticeZd, LamplighterZ, S3xZ,
+                     StepDistribution, Z2)
 from .oracle import exact_distribution, exact_isolated_distribution, tv_distance
 from .sampler import SrrwConfig, erw_config
-from .stats import binomial_estimate
 
 DEFAULT_SEED = 1729
 
@@ -451,12 +451,13 @@ def suite_class_function(seed: int = DEFAULT_SEED, threads: int = 1):
 
 def suite_lamplighter(seed: int = DEFAULT_SEED, threads: int = 1):
     """Qualitative stretched-exponential trend; no exponent asserted."""
-    ns = [8, 16, 24, 32, 48, 64]
-    hits = fastpaths.lamplighter_origin_hits(0.5, [0.25] * 4, ns, 10 ** 6,
-                                             seed, threads=threads)
-    vals = [hits[n] for n in ns]
+    group = LamplighterZ()
+    cfg = SrrwConfig(group=group, alpha=0.5, mu=StepDistribution.lazy(group))
+    pts = estimators.point_mass_curve(cfg, [8, 16, 24, 32, 48, 64],
+                                      group.identity(), 10 ** 6, seed,
+                                      threads=threads)
+    vals = [round(est.value * est.trials) for _, est in pts]
     monotone = all(a > b for a, b in zip(vals, vals[1:]))
-    pts = [(n, binomial_estimate(hits[n], 10 ** 6)) for n in ns]
     fit = estimators.rate_fit(pts, "stretched")
     return [CriterionResult(
         criterion="lamplighter-trend",

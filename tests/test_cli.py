@@ -188,6 +188,30 @@ def test_horizons_below_one_exit_with_an_error(capsys):
         assert capsys.readouterr().err.startswith("error: " + reason), argv
 
 
+def test_library_errors_exit_with_an_error(capsys):
+    # a ValueError raised below any subcommand becomes one error line
+    sim = ["simulate", "--group", "lattice:1", "--alpha", "0.5", "--mu",
+           "lazy", "--n", "4"]
+    cases = [
+        (["poly", "cycle", "--alpha", "0.5", "--n", "-1"], "poly: need n"),
+        (["poly", "gap", "--alpha", "0.5", "--n", "-2"], "poly: need n"),
+        (["poly", "eval", "--alpha", "0.5", "--n", "-1"], "poly: need n"),
+        (["poly", "lambda", "--alpha", "0.5", "--nmax", "0"],
+         "poly: need n_max"),
+        (["poly", "lambda", "--alpha", "1.5", "--nmax", "3"],
+         "poly: alpha must be in [0, 1]"),
+        (["poly", "cycle", "--alpha", "0.5", "--n", "3", "--L", "2"],
+         "poly: cycle distributions need L >= 3"),
+        (["evoset", "profile", "--group", "lattice:2", "--mu", "lazy",
+          "--scope", "all", "--rmax", "2"], "evoset: group enumeration"),
+        (sim + ["--trials", "0", "--target", "e"], "simulate: trials must"),
+        (sim + ["--trials", "-3", "--ball-r", "2"], "simulate: trials must"),
+    ]
+    for argv, reason in cases:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: " + reason), argv
+
+
 def test_main_stdout_default(capsysbinary):
     argv = ["poly", "gap", "--alpha", "0.5", "--n", "4"]
     assert main(argv) == 0

@@ -2,14 +2,19 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from srrw import estimators, fastpaths, verify
 from srrw.estimators import (ball_curve, isolated_tail_check, mc_escape_rate,
-                             mc_point_mass, point_mass_curve, rate_fit)
-from srrw.groups import IntegerLatticeZd, StepDistribution
+                             mc_histogram, mc_point_mass, point_mass_curve,
+                             rate_fit)
+from srrw.groups import (CycleZL, EuclideanRd, IntegerLatticeZd, LamplighterZ,
+                         RegularTreeFree, StepDistribution, Z2)
 from srrw.oracle import exact_distribution
-from srrw.sampler import SrrwConfig
-from srrw.stats import Estimate, binomial_estimate
+from srrw.sampler import (ErwRotation, IidSign, Negation, SrrwConfig,
+                          erw_config)
+from srrw.stats import Estimate, binomial_estimate, mean_estimate
 
 WALK1D = SrrwConfig(
     group=IntegerLatticeZd(1), alpha=0.5,
@@ -132,3 +137,115 @@ def test_horizons_below_one_are_refused():
             point_mass_curve(cfg, ns, (0, 0), 10, 1)
         with pytest.raises(ValueError, match="horizons"):
             ball_curve(cfg, ns, 2.0, 10, 1)
+
+
+def _lazy(group):
+    return SrrwConfig(group=group, alpha=0.5,
+                      mu=StepDistribution.lazy(group))
+
+
+def _law(cfg):
+    return ([g for g, _ in cfg.mu.support], [w for _, w in cfg.mu.support])
+
+
+def test_trials_and_horizons_below_one_are_refused_everywhere():
+    cyc, lat = _lazy(CycleZL(5)), _lazy(IntegerLatticeZd(1))
+    tree = erw_config(3, 0.3)
+    for n, trials, reason in ((4, 0, "trials"), (4, -3, "trials"),
+                              (0, 10, "horizons")):
+        calls = (lambda: point_mass_curve(lat, [n], (0,), trials, 1),
+                 lambda: point_mass_curve(cyc, [n], 0, trials, 1),
+                 lambda: ball_curve(lat, [n], 2.0, trials, 1),
+                 lambda: mc_histogram(cyc, n, trials, 1),
+                 lambda: mc_histogram(lat, n, trials, 1),
+                 lambda: mc_escape_rate(tree, n, trials, 1),
+                 lambda: mc_escape_rate(lat, n, trials, 1))
+        for call in calls:
+            with pytest.raises(ValueError, match=reason):
+                call()
+
+
+def test_engine_serves_each_matching_config(monkeypatch):
+    # with the per-trial route disabled, each entry point returns exactly
+    # what its engine returns when called directly
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-trial route taken")
+
+    monkeypatch.setattr(estimators, "_per_trial", refuse)
+    ns, trials, seed = [4, 8], 3000, 7
+
+    def curve(hits):
+        return [(n, binomial_estimate(hits[n], trials)) for n in ns]
+
+    z3, z2 = _lazy(IntegerLatticeZd(3)), _lazy(IntegerLatticeZd(2))
+    atoms, weights = _law(z3)
+    assert point_mass_curve(z3, ns, (0, 0, 0), trials, seed) == curve(
+        fastpaths.lattice_target_hits(np.array(atoms), weights, 0.5, ns,
+                                      (0, 0, 0), trials, seed))
+    atoms, weights = _law(z2)
+    assert ball_curve(z2, ns, 2.5, trials, seed) == curve(
+        fastpaths.lattice_ball_hits(np.array(atoms), weights, 0.5, ns, 2.5,
+                                    trials, seed))
+    rd = SrrwConfig(group=EuclideanRd(2), alpha=0.5,
+                    mu=StepDistribution(family="gaussian"))
+    assert ball_curve(rd, ns, 1.5, trials, seed) == curve(
+        fastpaths.gaussian_ball_hits(2, 0.5, ns, 1.5, trials, seed))
+    s3z = verify.s3z_example_config(0.5)
+    atoms, weights = _law(s3z)
+    for target in (s3z.group.identity(), atoms[0]):
+        assert point_mass_curve(s3z, ns, target, trials, seed) == curve(
+            fastpaths.s3z_target_hits(0.5, atoms, weights, ns, target,
+                                      trials, seed))
+    lamp = _lazy(LamplighterZ())
+    assert point_mass_curve(lamp, ns, lamp.group.identity(), trials,
+                            seed) == curve(
+        fastpaths.lamplighter_origin_hits(0.5, [0.25] * 4, ns, trials, seed))
+    for p, rotate in ((0.3, True), (0.6, False)):
+        tree = erw_config(3, p)
+        assert isinstance(tree.transform, ErwRotation) == rotate
+        assert point_mass_curve(tree, ns, (), trials, seed) == curve(
+            fastpaths.tree_erw_origin_hits(3, tree.alpha, rotate, ns, trials,
+                                           seed))
+        s, s2 = fastpaths.tree_erw_distance_sums(3, tree.alpha, rotate, 8,
+                                                 trials, seed)
+        ref = mean_estimate(float(s), float(s2), trials)
+        est = mc_escape_rate(tree, 8, trials, seed)
+        assert est.value == pytest.approx(ref.value / 8, rel=1e-12)
+        assert est.stderr == pytest.approx(ref.stderr / 8, rel=1e-12)
+    for cyc in (_lazy(CycleZL(5)), _lazy(Z2())):
+        atoms, weights = _law(cyc)
+        for via_forest in (False, True):
+            counts = fastpaths.cyclic_histogram(
+                cyc.group.L, 0.5, atoms, weights, 6, trials, seed,
+                via_forest=via_forest)
+            assert mc_histogram(cyc, 6, trials, seed,
+                                via_forest=via_forest) == {
+                r: int(c) for r, c in enumerate(counts) if c > 0}
+
+
+def test_engine_refuses_what_no_engine_represents():
+    lat, tree = _lazy(IntegerLatticeZd(1)), erw_config(3, 0.6)
+    refused = [(lat, "histogram", False), (_lazy(CycleZL(5)), "point", 0),
+               (tree, "point", (0,)), (tree, "ball", 2.0)]
+    for transform in (IidSign(1.0), Negation()):
+        for cfg, query, arg in ((lat, "point", (0,)), (lat, "ball", 2.0),
+                                (tree, "point", ()), (tree, "escape", None)):
+            refused.append((SrrwConfig(group=cfg.group, alpha=0.5,
+                                       mu=cfg.mu, transform=transform),
+                            query, arg))
+    g = RegularTreeFree(3)
+    skewed = StepDistribution(support=[((0,), 0.5), ((1,), 0.25),
+                                       ((2,), 0.25)])
+    skewed_tree = SrrwConfig(group=g, alpha=0.5, mu=skewed)
+    refused += [(skewed_tree, "point", ()), (skewed_tree, "escape", None)]
+    lamp = _lazy(LamplighterZ())
+    refused.append((lamp, "point", (frozenset(), 1)))
+    jump = StepDistribution.uniform([(frozenset(), 0), (frozenset([0]), 0),
+                                     (frozenset(), 2), (frozenset(), -1)])
+    refused.append((SrrwConfig(group=LamplighterZ(), alpha=0.5, mu=jump),
+                    "point", (frozenset(), 0)))
+    sphere = SrrwConfig(group=EuclideanRd(2), alpha=0.5,
+                        mu=StepDistribution(family="sphere"))
+    refused.append((sphere, "ball", 1.5))
+    for cfg, query, arg in refused:
+        assert estimators._engine(cfg, query, arg) is None, (cfg, query, arg)

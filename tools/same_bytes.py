@@ -27,9 +27,13 @@ SEED = 1729
 
 
 def _simulate(group, mu, *extra):
+    """A simulate argv; its objective is ``--target e`` unless ``extra``
+    names one."""
+    named = "--target" in extra or "--ball-r" in extra
     return ["simulate", "--group", group, "--alpha", "0.5", "--mu", mu,
-            "--n", "4,8,16", "--trials", "20000", "--target", "e",
-            "--seed", str(SEED), *extra]
+            "--n", "4,8,16", "--trials", "20000",
+            *([] if named else ["--target", "e"]), "--seed", str(SEED),
+            *extra]
 
 
 def _evoset(mode, group, mu):
@@ -43,6 +47,11 @@ ARGVS = (
     + [_simulate(g, "pm1") for g in ("z2", "cycle:5")]
     + [_simulate(g, "gens") for g in ("lattice:3", "tree:3", "s3z")]
     + [_simulate("tree:3", "gens", "--transform", "erw_rotation")]
+    + [_simulate("lattice:2", "lazy", "--ball-r", "2.5"),
+       _simulate("rd:2", "gaussian", "--ball-r", "1.5"),
+       _simulate("lattice:1", "gens", "--transform", "negation"),
+       _simulate("lamplighter", "lazy", "--target", "t"),
+       _simulate("tree:3", "gens", "--target", "ab")]
     + [["exact", "--group", g, "--alpha", "0.5", "--mu", "lazy", "--n", "6"]
        for g in ("z2", "cycle:5")]
     + [_evoset("trace", "cycle:5", "pm1"),
