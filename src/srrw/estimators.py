@@ -93,17 +93,6 @@ def _engine(config, query, arg=None):
     return None
 
 
-def _horizons(n_list, trials) -> list:
-    """Distinct horizons in increasing order; at least one, each >= 1, over
-    at least one trial."""
-    ns = sorted(set(int(n) for n in n_list))
-    if not ns or ns[0] < 1:
-        raise ValueError(f"horizons must be integers >= 1, got {ns}")
-    if trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials}")
-    return ns
-
-
 def point_mass_curve(config: SrrwConfig, n_list, target, trials: int,
                      seed: int, threads: int = 1):
     """P(S_n = target) estimates at each horizon in n_list.
@@ -121,7 +110,7 @@ def point_mass_curve(config: SrrwConfig, n_list, target, trials: int,
 def _curve(config, query, arg, n_list, hit, tag, trials, seed, threads):
     """[(n, estimate of P(hit(S_n)))] at each horizon, counted by the engine
     serving (query, arg), else by per-trial walks on stream ``tag``."""
-    n_list = _horizons(n_list, trials)
+    n_list = fastpaths._horizons(n_list, trials)
     run = _engine(config, query, arg)
     if run is not None:
         hits = run(n_list, trials, seed, threads)
@@ -177,7 +166,7 @@ def mc_histogram(config: SrrwConfig, n: int, trials: int, seed: int,
     sequential walk; the two agree in law, which is exactly what the
     distributional tests compare.
     """
-    _horizons([n], trials)
+    fastpaths._horizons([n], trials)
     run = _engine(config, "histogram", via_forest)
     if run is not None:
         counts = run(n, trials, seed, threads)
@@ -208,7 +197,7 @@ def mc_ball(config: SrrwConfig, n: int, radius: float, trials: int,
 def mc_escape_rate(config: SrrwConfig, n: int, trials: int, seed: int,
                    threads: int = 1) -> Estimate:
     """Estimate E[d(e, S_n) / n], the normalized escape speed."""
-    _horizons([n], trials)
+    fastpaths._horizons([n], trials)
     run = _engine(config, "escape")
     if run is not None:
         s, s2 = run(n, trials, seed, threads)

@@ -248,6 +248,8 @@ class ProfileValue:
 
 def _candidate_sets(group: Group, mu: StepDistribution, r: int,
                     search_scope: str):
+    if mu.support is None:
+        raise ValueError("profile searches need a finite step law")
     if search_scope == "connected":
         e = group.identity()
         moves = [s for s, _ in mu.support
@@ -266,30 +268,30 @@ def _candidate_sets(group: Group, mu: StepDistribution, r: int,
     raise ValueError(f"unknown search scope {search_scope!r}")
 
 
-def iso_profile(group: Group, mu: StepDistribution, r: int,
-                search_scope: str = "connected") -> ProfileValue:
-    """Smallest bottleneck ratio over candidate sets of size at most r."""
-    sets, restricted = _candidate_sets(group, mu, r, search_scope)
+def _profile(group: Group, mu: StepDistribution, r: int, scope: str,
+             ratio) -> ProfileValue:
+    """Smallest ``ratio(group, mu, A)`` over the candidate sets of size at
+    most r; the first set reaching the minimum wins."""
+    sets, restricted = _candidate_sets(group, mu, r, scope)
     best, best_set = math.inf, frozenset()
     for a in sets:
-        v = bottleneck(group, mu, a)
+        v = ratio(group, mu, a)
         if v < best:
             best, best_set = v, a
     return ProfileValue(r=r, value=best, best_set=best_set,
                         restricted=restricted)
+
+
+def iso_profile(group: Group, mu: StepDistribution, r: int,
+                search_scope: str = "connected") -> ProfileValue:
+    """Smallest bottleneck ratio over candidate sets of size at most r."""
+    return _profile(group, mu, r, search_scope, bottleneck)
 
 
 def psi_profile(group: Group, mu: StepDistribution, r: int,
                 search_scope: str = "connected") -> ProfileValue:
     """Smallest one-step psi over the same candidate sets as iso_profile."""
-    sets, restricted = _candidate_sets(group, mu, r, search_scope)
-    best, best_set = math.inf, frozenset()
-    for a in sets:
-        v = psi(group, mu, a)
-        if v < best:
-            best, best_set = v, a
-    return ProfileValue(r=r, value=best, best_set=best_set,
-                        restricted=restricted)
+    return _profile(group, mu, r, search_scope, psi)
 
 
 def doob_step(group: Group, mu: StepDistribution, W, kernel, rng_seed):

@@ -69,8 +69,21 @@ def _chunks(trials: int, chunk: int):
     return out
 
 
+def _horizons(checkpoints, trials) -> list:
+    """Distinct horizons in increasing order; at least one, each >= 1, over
+    at least one trial."""
+    ns = sorted(set(int(n) for n in checkpoints))
+    if not ns or ns[0] < 1:
+        raise ValueError(f"horizons must be integers >= 1, got {ns}")
+    if trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials}")
+    return ns
+
+
 def _chunk_map(worker, trials: int, chunk: int, threads: int):
     """Run worker(chunk_index, chunk_trials) for every chunk, in order."""
+    if trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials}")
     sizes = _chunks(trials, chunk)
     if threads <= 1:
         return [worker(i, m) for i, m in enumerate(sizes)]
@@ -150,7 +163,7 @@ def _replay_sums(law: _Law, alpha: float, checkpoints, start, trials: int,
     Chunks hold at most ``chunk`` trials and ``_CODE_BUDGET`` bytes of codes
     plus ``state``, each trial's bytes of horizon-sized walk state.
     """
-    cps = sorted(set(int(c) for c in checkpoints))
+    cps = _horizons(checkpoints, trials)
     marks = set(cps)
     per_trial = (cps[-1] * np.dtype(law.dtype).itemsize * math.prod(law.row)
                  + state)
@@ -190,6 +203,7 @@ def cyclic_histogram(L: int, alpha: float, atoms, weights, n: int,
     atoms = np.asarray(atoms, dtype=np.int64)
     law = _atom_law(weights)
     if via_forest:
+        _horizons([n], trials)
 
         def worker(ci: int, m: int) -> np.ndarray:
             rng = rngmod.stream(seed, 11, ci)
@@ -226,7 +240,7 @@ def _lattice_hits(disps, weights, alpha, checkpoints, target, radius,
     """
     disps = np.asarray(disps, dtype=np.int64)
     d = disps.shape[1]
-    n = max(int(c) for c in checkpoints)
+    n = _horizons(checkpoints, trials)[-1]
     reach = [n * int(r) for r in np.abs(disps).max(axis=0)]
     if target is not None and any(abs(int(t)) > r
                                   for t, r in zip(target, reach)):

@@ -232,31 +232,51 @@ def suite_isolated(seed: int = DEFAULT_SEED, threads: int = 1):
     return [r1, r2]
 
 
-# Upper edges on the power-law slope of P(S_n = e) for the lazy walk on Z^d.
-# The paper bounds transition probabilities from above only, so a steeper
-# decay is consistent with it; there is no lower edge.  The edges -d/2 + 0.4
-# are this package's choice (the abstract gives no exponent).  For d = 3 an
-# edge below -1 also encodes summability of P(S_n = 0), i.e. transience.
+# Upper edges on the fitted slope of each decay row.  The paper bounds
+# transition probabilities from above only, so a steeper decay is consistent
+# with it and no row has a lower edge.  On the lazy walk on Z^d the edge on
+# the power-law slope is -d/2 + 0.4, this package's choice (the abstract
+# gives no exponent); for d = 3 an edge below -1 also encodes summability of
+# P(S_n = 0), i.e. transience.
 _LATTICE_BOUNDS = {1: -0.3, 2: -0.7, 3: -1.1}
+# The S3 x Z walk's Z coordinate is a lazy walk on Z: the d = 1 edge.
+_CLASS_EDGE = _LATTICE_BOUNDS[1]
+# On the tree and the lamplighter the paper gives no rate this package can
+# state, so those rows check only the sign of the slope.
+_SIGN_EDGE = 0.0
 
 
-def lattice_decay_verdict(fit, d: int) -> bool:
-    """Pass iff the whole 95% CI of the fitted slope lies at or below the
-    upper edge for dimension d."""
-    return fit.slope_ci[1] <= _LATTICE_BOUNDS[d]
+def _power_claim(edge: float) -> str:
+    return (f"P(S_n = e) decays no slower than n^({edge:g}): "
+            f"fitted power-law slope at most {edge:g}")
 
 
-def lattice_decay_observed(pts, fit) -> str:
-    """Deterministic account of a lattice-decay fit: slope, CI, hit counts
-    per horizon, and which horizons the fit used or dropped."""
-    ns = "/".join(str(n) for n, _ in pts)
-    hits = "/".join(str(round(est.value * est.trials)) for _, est in pts)
-    used = ",".join(str(n) for n, _ in fit.used)
-    dropped = ",".join(str(n) for n in fit.dropped) or "none"
-    lo, hi = fit.slope_ci
-    return (f"slope = {fit.slope:.3f}, CI ({lo:.3f}, {hi:.3f}); "
-            f"hits {hits} in {pts[0][1].trials} trials at n = {ns}; "
-            f"fit used n = {used}, dropped {dropped}")
+def _decay_row(criterion: str, pts, model: str, edge: float, expected: str,
+               why: str, also: bool = True) -> CriterionResult:
+    """The row of a fitted decay curve: it passes iff the 95% CI of the
+    ``model`` slope of ``pts`` lies at or below ``edge`` and ``also`` holds.
+
+    ``observed`` gives the slope and its CI, the hit counts per horizon, and
+    the horizons the fit used and dropped.  A curve with fewer than four
+    informative horizons fits nothing and fails, its counts named.
+    """
+    counts = [round(est.value * est.trials) for _, est in pts]
+    seen = (f"counts {counts} in {pts[0][1].trials} trials at "
+            f"n = {[n for n, _ in pts]}")
+    try:
+        fit = estimators.rate_fit(pts, model)
+    except ValueError as err:
+        observed, ok = f"no fit: {err}; {seen}", False
+    else:
+        lo, hi = fit.slope_ci
+        observed = (f"slope = {fit.slope:.4f}, CI ({lo:.4f}, {hi:.4f}); "
+                    f"{seen}; fit used n = {[n for n, _ in fit.used]}, "
+                    f"dropped {list(fit.dropped)}")
+        ok = bool(hi <= edge) and also
+    return CriterionResult(
+        criterion=criterion, expected=expected, observed=observed,
+        tolerance=f"one-sided: 95% CI upper edge <= {edge:g} ({why})",
+        passed=ok)
 
 
 def lazy_lattice_config(d: int, alpha: float = 0.5) -> SrrwConfig:
@@ -268,52 +288,28 @@ def lazy_lattice_config(d: int, alpha: float = 0.5) -> SrrwConfig:
 def suite_lattice_decay(seed: int = DEFAULT_SEED, threads: int = 1):
     """One-sided return-probability decay bounds for the lazy lattice walk."""
     results = []
-    ns = [64, 128, 256, 512, 1024]
-    trials = 10 ** 6
-    for d in (1, 2, 3):
-        cfg = lazy_lattice_config(d)
-        pts = estimators.point_mass_curve(cfg, ns, tuple([0] * d), trials,
-                                          seed, threads=threads)
-        fit = estimators.rate_fit(pts, "power")
-        hi = _LATTICE_BOUNDS[d]
-        results.append(CriterionResult(
-            criterion=f"lattice-decay-d{d}",
-            expected=(f"P(S_n = e) decays no slower than n^({hi}): "
-                      f"fitted power-law slope at most {hi}"),
-            observed=lattice_decay_observed(pts, fit),
-            tolerance=(f"one-sided, 95% CI upper edge <= {hi} (edge -d/2 + 0.4 "
-                       f"is this package's choice); n in {{64..1024}}, "
-                       f"1e6 trials, seed {seed}, unchanged from the former "
-                       f"two-sided window"),
-            passed=lattice_decay_verdict(fit, d)))
+    for d, edge in _LATTICE_BOUNDS.items():
+        pts = estimators.point_mass_curve(
+            lazy_lattice_config(d), [64, 128, 256, 512, 1024], (0,) * d,
+            10 ** 6, seed, threads=threads)
+        results.append(_decay_row(
+            f"lattice-decay-d{d}", pts, "power", edge, _power_claim(edge),
+            "edge -d/2 + 0.4 is this package's choice"))
     return results
 
 
 def suite_tree_erw(seed: int = DEFAULT_SEED, threads: int = 1):
     """Exponential return decay and linear escape on the trivalent tree."""
     results = []
-    ns = [10, 20, 30, 40, 50, 60]
-    trials = 10 ** 7
     for p in (0.0, 0.3, 0.6):
         cfg = erw_config(3, p)
-        pts = estimators.point_mass_curve(cfg, ns, (), trials, seed,
-                                          threads=threads)
-        informative = [pt for pt in pts if pt[1].ci_low > 0]
-        if len(informative) >= 4:
-            fit = estimators.rate_fit(pts, "exp")
-            ok = fit.slope < 0 and fit.slope_ci[1] < 0
-            obs = (f"slope = {fit.slope:.4f}, "
-                   f"CI ({fit.slope_ci[0]:.4f}, {fit.slope_ci[1]:.4f})")
-        else:
-            # all-zero tails: report the rule-of-three bound instead of a fit
-            ok = all(pt[1].value == 0.0 for pt in pts[len(informative):])
-            obs = f"p_hat = 0; upper bound {3.0 / trials:.1e} per point"
-        results.append(CriterionResult(
-            criterion=f"tree-erw-decay-p{p:g}",
-            expected="exponential-fit slope < 0 with 95% CI excluding 0",
-            observed=obs,
-            tolerance="1e7 trials at the largest horizon",
-            passed=ok))
+        pts = estimators.point_mass_curve(cfg, [10, 20, 30, 40, 50, 60], (),
+                                          10 ** 7, seed, threads=threads)
+        results.append(_decay_row(
+            f"tree-erw-decay-p{p:g}", pts, "exp", _SIGN_EDGE,
+            "exponential-fit slope of P(S_n = e) in n at most 0; "
+            "checks only the sign",
+            "the paper proves exponential decay here but gives no rate"))
 
         esc = estimators.mc_escape_rate(cfg, 1000, 10 ** 5, seed,
                                         threads=threads)
@@ -437,34 +433,29 @@ def s3z_example_config(alpha: float = 0.5) -> SrrwConfig:
 def suite_class_function(seed: int = DEFAULT_SEED, threads: int = 1):
     """Square-root return decay for the conjugation-invariant example."""
     cfg = s3z_example_config(0.5)
-    ns = [64, 128, 256, 512, 1024]
-    pts = estimators.point_mass_curve(cfg, ns, cfg.group.identity(), 10 ** 6,
-                                      seed, threads=threads)
-    fit = estimators.rate_fit(pts, "power")
-    return [CriterionResult(
-        criterion="class-function-decay",
-        expected="power-law slope of P(S_n = e) in [-0.7, -0.3]",
-        observed=f"slope = {fit.slope:.3f}",
-        tolerance="window [-0.7, -0.3], 1e6 trials",
-        passed=-0.7 <= fit.slope <= -0.3)]
+    pts = estimators.point_mass_curve(cfg, [64, 128, 256, 512, 1024],
+                                      cfg.group.identity(), 10 ** 6, seed,
+                                      threads=threads)
+    return [_decay_row(
+        "class-function-decay", pts, "power", _CLASS_EDGE,
+        _power_claim(_CLASS_EDGE),
+        "the Z coordinate is a lazy walk on Z, so the d = 1 lattice edge")]
 
 
 def suite_lamplighter(seed: int = DEFAULT_SEED, threads: int = 1):
-    """Qualitative stretched-exponential trend; no exponent asserted."""
+    """Stretched-exponential trend; no exponent asserted."""
     group = LamplighterZ()
     cfg = SrrwConfig(group=group, alpha=0.5, mu=StepDistribution.lazy(group))
     pts = estimators.point_mass_curve(cfg, [8, 16, 24, 32, 48, 64],
                                       group.identity(), 10 ** 6, seed,
                                       threads=threads)
-    vals = [round(est.value * est.trials) for _, est in pts]
-    monotone = all(a > b for a, b in zip(vals, vals[1:]))
-    fit = estimators.rate_fit(pts, "stretched")
-    return [CriterionResult(
-        criterion="lamplighter-trend",
-        expected="log P(S_n = e) decreasing in n^(1/3), negative slope",
-        observed=f"counts {vals}, slope = {fit.slope:.2f}",
-        tolerance="qualitative (monotone trend only)",
-        passed=monotone and fit.slope < 0)]
+    hits = [est.value for _, est in pts]
+    return [_decay_row(
+        "lamplighter-trend", pts, "stretched", _SIGN_EDGE,
+        "counts strictly decreasing in n, and stretched-exponential slope of "
+        "P(S_n = e) in n^(1/3) at most 0; checks only the sign",
+        "the paper proves stretched-exponential decay here but gives no rate",
+        also=all(a > b for a, b in zip(hits, hits[1:])))]
 
 
 def suite_determinism(seed: int = DEFAULT_SEED, threads: int = 1):

@@ -2,17 +2,24 @@
 
 All suites run once per session at the pinned seed; each criterion then
 asserts its own pass flag, so ``pytest -v`` prints a pass/fail line per
-claim.  The lattice-decay rows check the paper's one-sided claim: the 95%
-CI of the fitted return-probability slope must lie at or below an upper
-edge.  The walk decays faster than n^(-d/2) at these horizons, which the
-upper bounds allow, so there is no lower edge.
+claim.  Every fitted decay row (lattice, tree, class-function, lamplighter)
+checks the paper's one-sided claim: the 95% CI of the fitted
+return-probability slope must lie at or below the row's stated upper edge.
+The paper bounds transition probabilities from above only, so no row has a
+lower edge; the tree and lamplighter rows check only the sign.
+
+The benchmark reads the lamplighter row's hit counts back out of its text,
+so one test here runs its parser on the row.
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
 from srrw import verify
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 CRITERIA = [
     "z2-sandwich",
@@ -64,3 +71,12 @@ def test_criterion(results, criterion):
     assert r.passed, (
         f"{criterion}: expected {r.expected}; observed {r.observed} "
         f"(tolerance {r.tolerance}, seed {verify.DEFAULT_SEED})")
+
+
+def test_lamplighter_counts_parse_for_the_benchmark(results, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import checks
+
+    counts = checks.lamplighter_counts(results["lamplighter-trend"].observed)
+    assert len(counts) == 6
+    assert all(isinstance(c, int) and c > 0 for c in counts)

@@ -204,6 +204,8 @@ def test_library_errors_exit_with_an_error(capsys):
          "poly: cycle distributions need L >= 3"),
         (["evoset", "profile", "--group", "lattice:2", "--mu", "lazy",
           "--scope", "all", "--rmax", "2"], "evoset: group enumeration"),
+        (["evoset", "profile", "--group", "rd:2", "--mu", "gaussian",
+          "--rmax", "1"], "evoset: profile searches need a finite step law"),
         (sim + ["--trials", "0", "--target", "e"], "simulate: trials must"),
         (sim + ["--trials", "-3", "--ball-r", "2"], "simulate: trials must"),
     ]

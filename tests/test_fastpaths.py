@@ -275,30 +275,59 @@ class _CountingRng:
         return call
 
 
-def _engine_calls(n):
+def _engine_calls(n, trials=250):
     lazy = verify.lazy_lattice_config(3)
     disps = np.array([g for g, _ in lazy.mu.support], dtype=np.int64)
     weights = [w for _, w in lazy.mu.support]
     gens = S3xZ().generators()
     return {
         "cyclic": lambda th: fastpaths.cyclic_histogram(
-            5, 0.6, [1, 4], [0.5, 0.5], n, 250, SEED, th).tolist(),
+            5, 0.6, [1, 4], [0.5, 0.5], n, trials, SEED, th).tolist(),
         "lattice": lambda th: fastpaths.lattice_target_hits(
-            disps, weights, 0.5, [2, n], (0, 0, 0), 250, SEED, th),
+            disps, weights, 0.5, [2, n], (0, 0, 0), trials, SEED, th),
         "lattice-ball": lambda th: fastpaths.lattice_ball_hits(
-            disps, weights, 0.5, [2, n], 1.5, 250, SEED, th),
+            disps, weights, 0.5, [2, n], 1.5, trials, SEED, th),
         "gaussian": lambda th: fastpaths.gaussian_ball_hits(
-            2, 0.5, [2, n], 1.0, 250, SEED, th),
+            2, 0.5, [2, n], 1.0, trials, SEED, th),
         "tree": lambda th: fastpaths.tree_erw_origin_hits(
-            3, 0.4, True, [2, n], 250, SEED, th),
+            3, 0.4, True, [2, n], trials, SEED, th),
         "tree-distance": lambda th: fastpaths.tree_erw_distance_sums(
-            3, 0.4, True, n, 250, SEED, th),
+            3, 0.4, True, n, trials, SEED, th),
         "s3z": lambda th: fastpaths.s3z_target_hits(
             0.5, gens, [1 / len(gens)] * len(gens), [2, n],
-            S3xZ().identity(), 250, SEED, th),
+            S3xZ().identity(), trials, SEED, th),
         "lamplighter": lambda th: fastpaths.lamplighter_origin_hits(
-            0.4, [0.25] * 4, [2, n], 250, SEED, th),
+            0.4, [0.25] * 4, [2, n], trials, SEED, th),
     }
+
+
+def _sized_calls(n, trials):
+    """``_engine_calls`` plus the forest route, a lattice target out of
+    reach, and the set chain, which takes no horizon."""
+    calls = _engine_calls(n, trials)
+    disps = np.array([[1], [-1]])
+    calls["cyclic-forest"] = lambda th: fastpaths.cyclic_histogram(
+        5, 0.6, [1, 4], [0.5, 0.5], n, trials, SEED, th, via_forest=True)
+    calls["lattice-far"] = lambda th: fastpaths.lattice_target_hits(
+        disps, [0.5, 0.5], 0.5, [2, n], (99,), trials, SEED, th)
+    calls["masked-set"] = lambda th: fastpaths.masked_set_walk(
+        [], 1, 1, trials, SEED, th)
+    return calls
+
+
+@pytest.mark.parametrize("engine", list(_sized_calls(4, 1)))
+def test_engines_refuse_sizes_below_one(monkeypatch, engine):
+    # refused before any work: no stream is ever opened
+    def no_stream(*key):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(rngmod, "stream", no_stream)
+    for n, trials, reason in ((4, 0, "trials"), (4, -3, "trials"),
+                              (0, 250, "horizons")):
+        if engine == "masked-set" and reason == "horizons":
+            continue
+        with pytest.raises(ValueError, match=reason):
+            _sized_calls(n, trials)[engine](1)
 
 
 def test_every_engine_draws_one_uniform_per_step(monkeypatch):
