@@ -23,14 +23,14 @@ from . import rng as rngmod
 from .forest import grow, assign_and_assemble, isolated_counts_batch
 from .groups import (CycleZL, EuclideanRd, IntegerLatticeZd, LamplighterZ,
                      RegularTreeFree, S3xZ)
-from .sampler import ErwRotation, Identity, SrrwConfig, sample_walk
+from .sampler import SrrwConfig, sample_walk
 from .stats import Z95, Estimate, binomial_estimate, mean_estimate
 
 _GENERIC_CHUNK = 2048
 
 # The lamplighter engine's atom order: stay, toggle, marker +1, marker -1.
-_LAMP_ATOMS = {(frozenset(), 0): 0, (frozenset([0]), 0): 1,
-               (frozenset(), 1): 2, (frozenset(), -1): 3}
+_LAMP_ATOMS = [(frozenset(), 0), (frozenset([0]), 0), (frozenset(), 1),
+               (frozenset(), -1)]
 
 
 def _engine(config, query, arg=None):
@@ -39,28 +39,22 @@ def _engine(config, query, arg=None):
     ``query`` is "point" (arg: the target), "ball" (arg: the radius),
     "histogram" (arg: via_forest) or "escape".  The engine comes back as a
     call ``(horizons or n, trials, seed, threads) -> counts``; None sends the
-    estimate to the per-trial route.  Engines are looked up in ``fastpaths``
-    when called, so a wrapped module attribute is the one that runs.
+    estimate to the per-trial route, as it does for every transform that
+    has no replay table (``Transform.replay_table``).  Engines are looked up
+    in ``fastpaths`` when called, so a wrapped module attribute is the one
+    that runs.
     """
-    group, sup, alpha = config.group, config.mu.support, config.alpha
+    group, alpha = config.group, config.alpha
     at_e = (query == "point" and group.canonical_key(arg)
             == group.canonical_key(group.identity()))
-    if isinstance(group, RegularTreeFree):
-        d = group.d
-        if (not (at_e or query == "escape")
-                or not isinstance(config.transform, (Identity, ErwRotation))
-                or sup is None
-                or sorted(g for g, _ in sup) != group.generators()
-                or any(abs(w - 1.0 / d) > 1e-12 for _, w in sup)):
-            return None
-        rot = isinstance(config.transform, ErwRotation)
-        if at_e:
-            return lambda ns, t, s, th: fastpaths.tree_erw_origin_hits(
-                d, alpha, rot, ns, t, s, threads=th)
-        return lambda n, t, s, th: fastpaths.tree_erw_distance_sums(
-            d, alpha, rot, n, t, s, threads=th)
-    if not isinstance(config.transform, Identity):
+    tree, lamp = (isinstance(group, RegularTreeFree),
+                  isinstance(group, LamplighterZ))
+    table = config.transform.replay_table(
+        group, config.mu,
+        group.generators() if tree else _LAMP_ATOMS if lamp else ())
+    if table is None:
         return None
+    sup, replay = table
     if (isinstance(group, EuclideanRd) and query == "ball"
             and config.mu.family == "gaussian"):
         return lambda ns, t, s, th: fastpaths.gaussian_ball_hits(
@@ -68,28 +62,33 @@ def _engine(config, query, arg=None):
     if sup is None:
         return None
     atoms, weights = [g for g, _ in sup], [w for _, w in sup]
+    if tree:
+        d = group.d
+        if (not (at_e or query == "escape") or len(sup) != d
+                or any(abs(w - 1.0 / d) > 1e-12 for w in weights)):
+            return None
+        if at_e:
+            return lambda ns, t, s, th: fastpaths.tree_erw_origin_hits(
+                d, alpha, ns, t, s, threads=th, replay=replay)
+        return lambda n, t, s, th: fastpaths.tree_erw_distance_sums(
+            d, alpha, n, t, s, threads=th, replay=replay)
     if isinstance(group, IntegerLatticeZd) and query == "point":
         return lambda ns, t, s, th: fastpaths.lattice_target_hits(
-            atoms, weights, alpha, ns, arg, t, s, threads=th)
+            atoms, weights, alpha, ns, arg, t, s, threads=th, replay=replay)
     if isinstance(group, IntegerLatticeZd) and query == "ball":
         return lambda ns, t, s, th: fastpaths.lattice_ball_hits(
-            atoms, weights, alpha, ns, arg, t, s, threads=th)
+            atoms, weights, alpha, ns, arg, t, s, threads=th, replay=replay)
     if isinstance(group, S3xZ) and query == "point":
         return lambda ns, t, s, th: fastpaths.s3z_target_hits(
-            alpha, atoms, weights, ns, arg, t, s, threads=th)
-    if isinstance(group, LamplighterZ) and at_e:
-        w4 = [0.0] * 4
-        for g, w in sup:
-            k = (frozenset(g[0]), g[1])
-            if k not in _LAMP_ATOMS:
-                return None
-            w4[_LAMP_ATOMS[k]] = w
+            alpha, atoms, weights, ns, arg, t, s, threads=th, replay=replay)
+    if lamp and at_e and len(sup) == len(_LAMP_ATOMS):
         return lambda ns, t, s, th: fastpaths.lamplighter_origin_hits(
-            alpha, w4, ns, t, s, threads=th)
-    if isinstance(group, CycleZL) and query == "histogram":
+            alpha, weights, ns, t, s, threads=th, replay=replay)
+    if (isinstance(group, CycleZL) and query == "histogram"
+            and not (arg and replay)):
         return lambda n, t, s, th: fastpaths.cyclic_histogram(
             group.L, alpha, atoms, weights, n, t, s, threads=th,
-            via_forest=arg)
+            via_forest=arg, replay=replay)
     return None
 
 

@@ -12,10 +12,14 @@ uniform per row, ``v = rng.random(m)``, and that v decides the whole step:
 
 - step 1 is fresh, and its atom comes from v;
 - at step j >= 2, a row with v < alpha replays step ``1 + floor(x)`` with
-  ``x = v / alpha * (j - 1)``, uniform on 1..j-1 given v < alpha; the
-  engine's replay hook, if any, transforms the replayed code from x (the
-  tree's rotation shift is ``1 + floor(x * (d - 1)) mod (d - 1)``, which
-  reads only the fractional part of x and so is independent of the pick);
+  ``x = v / alpha * (j - 1)``, uniform on 1..j-1 given v < alpha; unless
+  replay keeps codes, the replayed code c becomes ``T[c, b]`` of the
+  config's replay table (``sampler.Transform.replay_table``), with branch b
+  read from x: slot ``floor(x * Q) mod Q`` when every branch weight is a
+  multiple of 1/Q for a small Q, else ``x - floor(x)`` inverted through the
+  cumulative branch weights.  Both read only the fractional part of x,
+  which is independent of the pick.  The tree's rotation is the table
+  ``T[c, b] = (c + 1 + b) mod d``;
 - a row with v >= alpha is fresh, and its atom comes from
   ``(v - alpha) / (1 - alpha)``, uniform on [0, 1) given v >= alpha.
 
@@ -105,6 +109,21 @@ class _Law(NamedTuple):
     row: tuple = ()
 
 
+def _slots(weights):
+    """The Q-slot table of ``_atom_law``, or None when it has none."""
+    frac = [Fraction(x).limit_denominator(_MAX_SLOTS) for x in weights]
+    q = math.lcm(*(f.denominator for f in frac))
+    if (q <= _MAX_SLOTS and sum(frac) == 1
+            and all(abs(f - x) <= 1e-12 for f, x in zip(frac, weights))):
+        return np.repeat(np.arange(len(weights)), [int(f * q) for f in frac])
+    return None
+
+
+def _cumulative(weights) -> np.ndarray:
+    cum = np.cumsum(weights)
+    return cum[:-1] / cum[-1]
+
+
 def _atom_law(weights) -> _Law:
     """Atom codes of a finite step law, one uniform per step.
 
@@ -115,18 +134,38 @@ def _atom_law(weights) -> _Law:
     """
     w = np.asarray(weights, dtype=float)
     dtype = _code_dtype(len(w))
-    frac = [Fraction(x).limit_denominator(_MAX_SLOTS) for x in w.tolist()]
-    q = math.lcm(*(f.denominator for f in frac))
-    if (q <= _MAX_SLOTS and sum(frac) == 1
-            and all(abs(f - x) <= 1e-12 for f, x in zip(frac, w.tolist()))):
-        slots = np.repeat(np.arange(len(w), dtype=dtype),
-                          [int(f * q) for f in frac])
+    slots = _slots(w.tolist())
+    if slots is not None:
+        slots, q = slots.astype(dtype), len(slots)
         return _Law(lambda rng, u: np.take(slots, (u * q).astype(np.intp),
                                            mode="clip"), dtype)
-    cum = np.cumsum(w)
-    cum = cum[:-1] / cum[-1]
+    cum = _cumulative(w)
     return _Law(lambda rng, u: np.searchsorted(cum, u, side="right")
                 .astype(dtype), dtype)
+
+
+def _table_hook(rows, weights):
+    """``hook(past, x)`` replaying code c as ``rows[c][b]``.
+
+    Branch b is read from x, whose fractional part is uniform on [0, 1)
+    given the pick, by the rules of ``_atom_law``: slot floor(x * Q) mod Q
+    of the weights' slot table, else x - floor(x) inverted through their
+    cumulative weights.
+    """
+    table = np.array(rows, dtype=_code_dtype(len(rows)))
+    slots = _slots(weights)
+    if slots is not None:
+        table = table[:, slots]
+    width, flat = table.shape[1], table.ravel()
+    if width == 1:
+        return lambda past, x: flat.take(past)
+    if slots is not None:
+        return lambda past, x: flat.take(past.astype(np.intp) * width
+                                         + (x * width).astype(np.intp) % width)
+    cum = _cumulative(weights)
+    return lambda past, x: flat.take(past.astype(np.intp) * width
+                                     + np.searchsorted(cum, x - np.floor(x),
+                                                       side="right"))
 
 
 def _replay_columns(rng, m: int, n: int, alpha: float, law: _Law, hook=None):
@@ -154,12 +193,14 @@ def _replay_columns(rng, m: int, n: int, alpha: float, law: _Law, hook=None):
 
 def _replay_sums(law: _Law, alpha: float, checkpoints, start, trials: int,
                  seed: int, threads: int, tag: int, chunk: int,
-                 hook=None, state: int = 0) -> dict:
+                 replay=None, state: int = 0) -> dict:
     """{checkpoint: observation summed over all trials}, in one pass.
 
     ``start(m)`` builds the state of a chunk of m trials and returns its
     ``(apply, observe)`` pair: ``apply(col)`` takes one step column and
     ``observe()`` counts (or sums) over the chunk's current positions.
+    ``replay``, a (rows, weights) table as ``_table_hook`` takes it, moves
+    each replayed code; without it a replayed code is kept.
     Chunks hold at most ``chunk`` trials and ``_CODE_BUDGET`` bytes of codes
     plus ``state``, each trial's bytes of horizon-sized walk state.
     """
@@ -172,6 +213,7 @@ def _replay_sums(law: _Law, alpha: float, checkpoints, start, trials: int,
                          f"per trial (state included), over the "
                          f"{_CODE_BUDGET}-byte budget")
     chunk = min(chunk, _CODE_BUDGET // per_trial)
+    hook = None if replay is None else _table_hook(*replay)
 
     def worker(ci: int, m: int) -> np.ndarray:
         rng = rngmod.stream(seed, tag, ci)
@@ -193,16 +235,20 @@ def _counts(sums: dict) -> dict:
 
 def cyclic_histogram(L: int, alpha: float, atoms, weights, n: int,
                      trials: int, seed: int, threads: int = 1,
-                     via_forest: bool = False) -> np.ndarray:
-    """Endpoint histogram of the identity-replay walk on the L-cycle.
+                     via_forest: bool = False, replay=None) -> np.ndarray:
+    """Endpoint histogram of the walk on the L-cycle.
 
     ``via_forest=True`` draws the percolated forest and sums cluster-size
     blocks of root draws instead of replaying steps; the two routes have the
-    same law and give the distributional triangle its second corner.
+    same law and give the distributional triangle its second corner.  A
+    cluster shares its root's draw only under identity replay, so the
+    forest route refuses a ``replay`` table.
     """
     atoms = np.asarray(atoms, dtype=np.int64)
     law = _atom_law(weights)
     if via_forest:
+        if replay is not None:
+            raise ValueError("the forest route replays steps unchanged")
         _horizons([n], trials)
 
         def worker(ci: int, m: int) -> np.ndarray:
@@ -224,11 +270,11 @@ def cyclic_histogram(L: int, alpha: float, atoms, weights, n: int,
         return apply, lambda: np.bincount(pos % L, minlength=L)
 
     return _replay_sums(law, alpha, [n], start, trials, seed, threads, 10,
-                        1 << 16)[n]
+                        1 << 16, replay)[n]
 
 
 def _lattice_hits(disps, weights, alpha, checkpoints, target, radius,
-                  trials, seed, threads, tag) -> dict:
+                  trials, seed, threads, tag, replay) -> dict:
     """Counts of rows at ``target``, or else inside the Euclidean ball of
     ``radius``, at each horizon.
 
@@ -272,7 +318,7 @@ def _lattice_hits(disps, weights, alpha, checkpoints, target, radius,
         return apply, lambda: observe(pos)
 
     return _counts(_replay_sums(_atom_law(weights), alpha, checkpoints, start,
-                                trials, seed, threads, tag, 1 << 16))
+                                trials, seed, threads, tag, 1 << 16, replay))
 
 
 def _pack_bits(reach: int, d: int):
@@ -307,25 +353,26 @@ def _in_ball(coords, radius: float) -> np.ndarray:
 
 def lattice_target_hits(disps: np.ndarray, weights, alpha: float,
                         checkpoints, target, trials: int, seed: int,
-                        threads: int = 1) -> dict:
+                        threads: int = 1, replay=None) -> dict:
     """Hit counts of a fixed lattice target at several horizons, one pass.
 
     ``disps`` is the (atoms, d) displacement table of the finite step law.
     The pass runs to max(checkpoints) and tests the position at each listed
     horizon, so the per-horizon counts share trials (fine for point
-    estimates, deliberate for the runtime budget).
+    estimates, deliberate for the runtime budget).  ``replay`` moves
+    replayed codes as in ``_replay_sums``; so does every engine's.
     """
     return _lattice_hits(disps, weights, alpha, checkpoints,
                          np.asarray(target, dtype=np.int64).tolist(), None,
-                         trials, seed, threads, 20)
+                         trials, seed, threads, 20, replay)
 
 
 def lattice_ball_hits(disps: np.ndarray, weights, alpha: float, checkpoints,
                       radius: float, trials: int, seed: int,
-                      threads: int = 1) -> dict:
+                      threads: int = 1, replay=None) -> dict:
     """Counts of |position| < radius (Euclidean norm) at several horizons."""
     return _lattice_hits(disps, weights, alpha, checkpoints, None, radius,
-                         trials, seed, threads, 21)
+                         trials, seed, threads, 21, replay)
 
 
 def gaussian_ball_hits(d: int, alpha: float, checkpoints, radius: float,
@@ -349,21 +396,16 @@ def gaussian_ball_hits(d: int, alpha: float, checkpoints, radius: float,
                                 threads, 22, 1 << 12))
 
 
-def _tree_sums(d: int, alpha: float, rotate: bool, checkpoints, observe,
-               trials: int, seed: int, threads: int, tag: int,
-               chunk: int) -> dict:
+def _tree_sums(d: int, alpha: float, checkpoints, observe, trials: int,
+               seed: int, threads: int, tag: int, chunk: int, replay) -> dict:
     """Sums of ``observe(depth)`` for the elephant walk on the d-regular tree.
 
-    Steps are uniform letters; a replayed letter is kept with probability
-    alpha, moved to a uniform other letter first when ``rotate`` holds.
-    Words live on a per-trial stack of letters, step-major, above a bottom
-    row that matches no letter; a step either cancels the top letter or
-    pushes, so the word length is the stack depth.
+    Steps are uniform letters, code c being letter c, and a replayed letter
+    moves by ``replay``.  Words live on a per-trial stack of letters,
+    step-major, above a bottom row that matches no letter; a step either
+    cancels the top letter or pushes, so the word length is the stack depth.
     """
     n_max = max(int(c) for c in checkpoints)
-
-    def rotation(past, x):
-        return (past + 1 + (x * (d - 1)).astype(np.intp) % (d - 1)) % d
 
     def start(m):
         rows = np.arange(m)
@@ -383,30 +425,30 @@ def _tree_sums(d: int, alpha: float, rotate: bool, checkpoints, observe,
         return apply, lambda: observe(depth)
 
     return _replay_sums(_atom_law([1.0 / d] * d), alpha, checkpoints, start,
-                        trials, seed, threads, tag, chunk,
-                        hook=rotation if rotate and d > 1 else None,
+                        trials, seed, threads, tag, chunk, replay,
                         state=(n_max + 2) * _code_dtype(d + 1).itemsize)
 
 
-def tree_erw_origin_hits(d: int, alpha: float, rotate: bool, checkpoints,
-                         trials: int, seed: int, threads: int = 1) -> dict:
+def tree_erw_origin_hits(d: int, alpha: float, checkpoints, trials: int,
+                         seed: int, threads: int = 1, replay=None) -> dict:
     """Counts of returns to the empty word for the elephant walk on the
     d-regular tree, at several horizons in one pass."""
-    return _counts(_tree_sums(d, alpha, rotate, checkpoints,
+    return _counts(_tree_sums(d, alpha, checkpoints,
                               lambda depth: (depth == 0).sum(), trials, seed,
-                              threads, 30, 1 << 17))
+                              threads, 30, 1 << 17, replay))
 
 
-def tree_erw_distance_sums(d: int, alpha: float, rotate: bool, n: int,
-                           trials: int, seed: int, threads: int = 1) -> tuple:
+def tree_erw_distance_sums(d: int, alpha: float, n: int, trials: int,
+                           seed: int, threads: int = 1,
+                           replay=None) -> tuple:
     """(sum, sum of squares) of the word distance after n steps."""
 
     def moments(depth):
         dd = depth.astype(np.int64)
         return np.array([dd.sum(), (dd * dd).sum()], dtype=np.int64)
 
-    s, s2 = _tree_sums(d, alpha, rotate, [n], moments, trials, seed, threads,
-                       31, 1 << 15)[n]
+    s, s2 = _tree_sums(d, alpha, [n], moments, trials, seed, threads, 31,
+                       1 << 15, replay)[n]
     return int(s), int(s2)
 
 
@@ -417,9 +459,10 @@ _S3_MULT = np.array([[_S3_INDEX[S3xZ().multiply((p, 0), (q, 0))[0]]
 
 
 def s3z_target_hits(alpha: float, atoms, weights, checkpoints, target,
-                    trials: int, seed: int, threads: int = 1) -> dict:
-    """Hit counts of a fixed element of the permutation-times-integers group
-    under identity replay, several horizons per pass.
+                    trials: int, seed: int, threads: int = 1,
+                    replay=None) -> dict:
+    """Hit counts of a fixed element of the permutation-times-integers group,
+    several horizons per pass.
 
     Atoms and the target are S3xZ elements, (permutation image tuple,
     integer) pairs; the walk state is one permutation index and one integer
@@ -441,7 +484,7 @@ def s3z_target_hits(alpha: float, atoms, weights, checkpoints, target,
         return apply, lambda: ((perm == target_perm) & (z == target_z)).sum()
 
     return _counts(_replay_sums(_atom_law(weights), alpha, checkpoints, start,
-                                trials, seed, threads, 40, 1 << 16))
+                                trials, seed, threads, 40, 1 << 16, replay))
 
 
 def masked_set_walk(step_tables, start_mask: int, n_states: int, trials: int,
@@ -473,8 +516,8 @@ def masked_set_walk(step_tables, start_mask: int, n_states: int, trials: int,
 
 
 def lamplighter_origin_hits(alpha: float, weights, checkpoints, trials: int,
-                            seed: int, threads: int = 1) -> dict:
-    """Identity-return counts for the lamplighter walk under identity replay.
+                            seed: int, threads: int = 1, replay=None) -> dict:
+    """Identity-return counts for the lamplighter walk.
 
     Atom order is fixed: stay, toggle, marker +1, marker -1 with the given
     weights.  Lamp states live in a boolean window wide enough for the
@@ -496,5 +539,5 @@ def lamplighter_origin_hits(alpha: float, weights, checkpoints, trials: int,
         return apply, lambda: ((marker == 0) & ~lamps.any(axis=1)).sum()
 
     return _counts(_replay_sums(_atom_law(weights), alpha, checkpoints, start,
-                                trials, seed, threads, 50, 1 << 14,
+                                trials, seed, threads, 50, 1 << 14, replay,
                                 state=2 * off + 1))

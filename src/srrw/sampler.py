@@ -47,6 +47,10 @@ def draw_step(group: Group, mu: StepDistribution, rng) -> object:
     return mu.support[-1][0]
 
 
+# Most atoms a replay table may add to those of the step law.
+TABLE_CAP = 256
+
+
 class Transform:
     """A step transformation applied to replayed past steps.
 
@@ -59,6 +63,50 @@ class Transform:
 
     def validate(self, group: Group, mu: StepDistribution) -> "Transform":
         return self
+
+    def replay_table(self, group, mu, atoms=()):
+        """Replay on mu as integer codes, from ``push_point``: a pair
+        (support, replay), or None when no table represents it.
+
+        Code c is atom c of ``support``, a list of (atom, weight) pairs:
+        ``atoms``, then mu's other atoms, then those only a replay reaches,
+        with weight 0.  ``replay`` is a pair (rows, weights): code c replays
+        as ``rows[c][b]``, branch b taken with probability ``weights[b]``;
+        the identity, which keeps every code, has None.  Only the codes mu
+        draws or a replay reaches are pushed; any other atom of ``atoms``
+        is never drawn, and its row keeps it.
+        None for a continuous mu, a closure that adds more than
+        ``TABLE_CAP`` atoms to mu's, or branch weights that differ between
+        atoms.
+        """
+        if mu.is_continuous:
+            return None
+        key, atoms = group.canonical_key, list(atoms)
+        code = {key(x): c for c, x in enumerate(atoms)}
+
+        def code_of(x):
+            if key(x) not in code:
+                code[key(x)] = len(atoms)
+                atoms.append(x)
+            return code[key(x)]
+
+        # push only what mu or a replay reaches, lowest code first; replays
+        # may reach new atoms
+        todo = sorted({code_of(x) for x, _ in mu.support})
+        cap, rows, branches = len(atoms) + TABLE_CAP, {}, None
+        while todo and len(atoms) <= cap:
+            c = todo.pop(0)
+            pushed = self.push_point(group, mu, None, atoms[c])
+            if branches not in (None, [w for _, w in pushed]):
+                return None
+            branches = [w for _, w in pushed]
+            rows[c] = [code_of(y) for y, _ in pushed]
+            todo = sorted(set(todo) | set(rows[c]) - rows.keys())
+        if len(atoms) > cap:
+            return None
+        mass = {key(x): w for x, w in mu.support}
+        rows = [rows.get(c, [c] * len(branches)) for c in range(len(atoms))]
+        return [(x, mass.get(key(x), 0.0)) for x in atoms], (rows, branches)
 
     def apply(self, group, mu, j, x, rng, history=None):
         raise NotImplementedError
@@ -75,6 +123,12 @@ class Transform:
 
 class Identity(Transform):
     """Replay past steps unchanged."""
+
+    def replay_table(self, group, mu, atoms=()):
+        # a kept code needs no table, and a continuous mu no atoms
+        if mu.is_continuous:
+            return None, None
+        return super().replay_table(group, mu, atoms)[0], None
 
     def apply(self, group, mu, j, x, rng, history=None):
         return x
@@ -235,6 +289,9 @@ class HistoryDependent(Transform):
 
     def apply(self, group, mu, j, x, rng, history=None):
         return self._resolve(self.fn(j, history, rng), x)
+
+    def replay_table(self, group, mu, atoms=()):
+        return None  # the map may change with the step and the history
 
     def push_point(self, group, mu, j, x, history=None):
         if not self.deterministic:

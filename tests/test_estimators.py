@@ -12,8 +12,9 @@ from srrw.estimators import (ball_curve, isolated_tail_check, mc_escape_rate,
 from srrw.groups import (CycleZL, EuclideanRd, IntegerLatticeZd, LamplighterZ,
                          RegularTreeFree, StepDistribution, Z2)
 from srrw.oracle import exact_distribution
-from srrw.sampler import (ErwRotation, IidSign, Negation, SrrwConfig,
-                          erw_config)
+from srrw.sampler import (ErwRotation, HistoryDependent, Identity, IidSign,
+                          Negation, SrrwConfig, erw_config,
+                          transform_from_literal)
 from srrw.stats import Estimate, binomial_estimate, mean_estimate
 
 WALK1D = SrrwConfig(
@@ -145,7 +146,15 @@ def _lazy(group):
 
 
 def _law(cfg):
-    return ([g for g, _ in cfg.mu.support], [w for _, w in cfg.mu.support])
+    """Atoms and weights of cfg's codes: mu's support under the identity;
+    under a table, mu's atoms and then any only a replay reaches."""
+    sup = (cfg.mu.support if isinstance(cfg.transform, Identity)
+           else cfg.transform.replay_table(cfg.group, cfg.mu)[0])
+    return [g for g, _ in sup], [w for _, w in sup]
+
+
+def _replay(cfg):
+    return cfg.transform.replay_table(cfg.group, cfg.mu)[1]
 
 
 def test_trials_and_horizons_below_one_are_refused_everywhere():
@@ -200,18 +209,34 @@ def test_engine_serves_each_matching_config(monkeypatch):
     assert point_mass_curve(lamp, ns, lamp.group.identity(), trials,
                             seed) == curve(
         fastpaths.lamplighter_origin_hits(0.5, [0.25] * 4, ns, trials, seed))
-    for p, rotate in ((0.3, True), (0.6, False)):
-        tree = erw_config(3, p)
-        assert isinstance(tree.transform, ErwRotation) == rotate
+    # every transform but the identity replays through the table it builds
+    erw = erw_config(3, 0.6)
+    trees = [erw_config(3, 0.3), erw] + [
+        SrrwConfig(group=erw.group, alpha=0.5, mu=erw.mu, transform=tf)
+        for tf in (Negation(), IidSign(0.4))]
+    for tree in trees:
+        replay = _replay(tree)
+        assert (replay is None) == (tree is erw)
         assert point_mass_curve(tree, ns, (), trials, seed) == curve(
-            fastpaths.tree_erw_origin_hits(3, tree.alpha, rotate, ns, trials,
-                                           seed))
-        s, s2 = fastpaths.tree_erw_distance_sums(3, tree.alpha, rotate, 8,
-                                                 trials, seed)
+            fastpaths.tree_erw_origin_hits(3, tree.alpha, ns, trials, seed,
+                                           replay=replay))
+        s, s2 = fastpaths.tree_erw_distance_sums(3, tree.alpha, 8, trials,
+                                                 seed, replay=replay)
         ref = mean_estimate(float(s), float(s2), trials)
         est = mc_escape_rate(tree, 8, trials, seed)
         assert est.value == pytest.approx(ref.value / 8, rel=1e-12)
         assert est.stderr == pytest.approx(ref.stderr / 8, rel=1e-12)
+    lat = _lazy(IntegerLatticeZd(1))
+    for tf in (Negation(), IidSign(0.3), IidSign(1.0)):
+        cfg = SrrwConfig(group=lat.group, alpha=0.5, mu=lat.mu, transform=tf)
+        atoms, weights = _law(cfg)
+        replay = _replay(cfg)
+        assert point_mass_curve(cfg, ns, (0,), trials, seed) == curve(
+            fastpaths.lattice_target_hits(np.array(atoms), weights, 0.5, ns,
+                                          (0,), trials, seed, replay=replay))
+        assert ball_curve(cfg, ns, 1.5, trials, seed) == curve(
+            fastpaths.lattice_ball_hits(np.array(atoms), weights, 0.5, ns,
+                                        1.5, trials, seed, replay=replay))
     for cyc in (_lazy(CycleZL(5)), _lazy(Z2())):
         atoms, weights = _law(cyc)
         for via_forest in (False, True):
@@ -227,12 +252,20 @@ def test_engine_refuses_what_no_engine_represents():
     lat, tree = _lazy(IntegerLatticeZd(1)), erw_config(3, 0.6)
     refused = [(lat, "histogram", False), (_lazy(CycleZL(5)), "point", 0),
                (tree, "point", (0,)), (tree, "ball", 2.0)]
-    for transform in (IidSign(1.0), Negation()):
-        for cfg, query, arg in ((lat, "point", (0,)), (lat, "ball", 2.0),
-                                (tree, "point", ()), (tree, "escape", None)):
-            refused.append((SrrwConfig(group=cfg.group, alpha=0.5,
-                                       mu=cfg.mu, transform=transform),
-                            query, arg))
+    # a map that may change with the step or the history, an orbit past
+    # the table's cap, and the forest route, which cannot replay a table
+    history = HistoryDependent(lambda j, h, rng: lambda x: x,
+                               deterministic=True)
+    for cfg, query, arg in ((lat, "point", (0,)), (lat, "ball", 2.0),
+                            (tree, "point", ()), (tree, "escape", None)):
+        refused.append((SrrwConfig(group=cfg.group, alpha=0.5, mu=cfg.mu,
+                                   transform=history), query, arg))
+    double = transform_from_literal("echo:[[[[2]],1.0]]")
+    refused.append((SrrwConfig(group=lat.group, alpha=0.5, mu=lat.mu,
+                               transform=double), "point", (0,)))
+    cyc = _lazy(CycleZL(5))
+    refused.append((SrrwConfig(group=cyc.group, alpha=0.5, mu=cyc.mu,
+                               transform=Negation()), "histogram", True))
     g = RegularTreeFree(3)
     skewed = StepDistribution(support=[((0,), 0.5), ((1,), 0.25),
                                        ((2,), 0.25)])
@@ -247,5 +280,13 @@ def test_engine_refuses_what_no_engine_represents():
     sphere = SrrwConfig(group=EuclideanRd(2), alpha=0.5,
                         mu=StepDistribution(family="sphere"))
     refused.append((sphere, "ball", 1.5))
+    # a rotation alphabet short of the engine's first atoms: the stay step
+    # off the lamplighter's generators, letter c off a two-letter tree
+    lamp_gens = erw_config(3, 0.1, group=LamplighterZ())
+    refused.append((lamp_gens, "point", (frozenset(), 1)))
+    two = SrrwConfig(group=g, alpha=0.5,
+                     mu=StepDistribution.uniform([(0,), (1,)]),
+                     transform=ErwRotation())
+    refused += [(two, "point", ()), (two, "escape", None)]
     for cfg, query, arg in refused:
         assert estimators._engine(cfg, query, arg) is None, (cfg, query, arg)

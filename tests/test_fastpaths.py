@@ -3,11 +3,12 @@ oracles, plus scheduling invariance of the chunked accumulators."""
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from srrw import fastpaths, verify
+from srrw import estimators, fastpaths, verify
 from srrw import rng as rngmod
 from srrw.estimators import (ball_curve, mc_escape_rate, mc_histogram,
                              mc_point_mass, point_mass_curve)
@@ -15,9 +16,21 @@ from srrw.fastpaths import _chunk_map, _chunks
 from srrw.groups import (CycleZL, EuclideanRd, IntegerLatticeZd, LamplighterZ,
                          RegularTreeFree, S3xZ, StepDistribution, Z2)
 from srrw.oracle import exact_distribution, tv_distance
-from srrw.sampler import IidSign, SrrwConfig, erw_config
+from srrw.sampler import (EchoLawLinear, HistoryDependent, IidSign,
+                          Negation, SrrwConfig, erw_config)
 
 SEED = 20260822
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# The identity as a transform no engine serves: a config under it keeps
+# its law and takes the per-trial route.
+PER_TRIAL = HistoryDependent(lambda j, history, rng: lambda x: x,
+                             deterministic=True)
+
+
+def _replay(cfg):
+    """The replay table the engines take for cfg."""
+    return cfg.transform.replay_table(cfg.group, cfg.mu)[1]
 
 
 def lattice_cfg(d, alpha):
@@ -63,14 +76,13 @@ def test_lattice_engine_vs_exact():
 
 
 def test_lattice_engine_vs_generic_sampler():
-    # IidSign(1.0) has the identity law but is refused by every engine,
-    # so this compares the vectorized pass to the per-trial reference; the
-    # second config is the lazy Z^3 walk that the lattice-decay gate fits
+    # PER_TRIAL compares the vectorized pass to the per-trial reference;
+    # the second config is the lazy Z^3 walk that the lattice-decay gate fits
     n, trials = 24, 30000
     for cfg in (lattice_cfg(2, 0.4), verify.lazy_lattice_config(3)):
         target = (0,) * cfg.group.d
         slow = SrrwConfig(group=cfg.group, alpha=cfg.alpha, mu=cfg.mu,
-                          transform=IidSign(1.0))
+                          transform=PER_TRIAL)
         fast = mc_point_mass(cfg, n, target, trials, SEED)
         ref = mc_point_mass(slow, n, target, trials, SEED + 1)
         sd = math.hypot(fast.stderr, ref.stderr)
@@ -106,7 +118,7 @@ def test_generic_histogram_route_matches_engine_law():
     g = CycleZL(4)
     mu = StepDistribution(support=[(1, 0.7), (3, 0.3)])
     fastcfg = SrrwConfig(group=g, alpha=0.3, mu=mu)
-    slowcfg = SrrwConfig(group=g, alpha=0.3, mu=mu, transform=IidSign(1.0))
+    slowcfg = SrrwConfig(group=g, alpha=0.3, mu=mu, transform=PER_TRIAL)
     dist = exact_distribution(fastcfg, 5)
     assert tv_distance(mc_histogram(fastcfg, 5, 40000, SEED), dist) < 0.012
     assert tv_distance(mc_histogram(slowcfg, 5, 40000, SEED), dist) < 0.012
@@ -160,10 +172,8 @@ def test_tree_engine_vs_exact():
 def test_tree_escape_engine_vs_generic():
     cfg = erw_config(4, 0.3)
     fast = mc_escape_rate(cfg, 40, 20000, SEED)
-    # letters are involutions, so IidSign never changes a step; it only
-    # pushes the walk down the per-trial reference path
     slow_cfg = SrrwConfig(group=cfg.group, alpha=cfg.alpha, mu=cfg.mu,
-                          transform=IidSign(0.5))
+                          transform=PER_TRIAL)
     slow = mc_escape_rate(slow_cfg, 40, 20000, SEED + 3)
     sd = math.hypot(fast.stderr, slow.stderr)
     assert abs(fast.value - slow.value) < 4 * sd
@@ -222,9 +232,11 @@ def test_thread_count_never_changes_results():
         support=[(1, 0.5), (4, 0.5)]))
     gauss = SrrwConfig(group=EuclideanRd(2), alpha=0.5,
                        mu=StepDistribution(family="gaussian"))
-    # IidSign(1.0) keeps the lattice law but takes the per-trial route
     slow = SrrwConfig(group=lat.group, alpha=lat.alpha, mu=lat.mu,
-                      transform=IidSign(1.0))
+                      transform=PER_TRIAL)
+    neg = SrrwConfig(group=IntegerLatticeZd(1), alpha=0.5,
+                     mu=StepDistribution.uniform([(1,), (-1,)]),
+                     transform=Negation())
     # the added runs span at least two chunks of their engine
     runs = [
         lambda th: mc_point_mass(lat, 12, (0, 0), 9000, SEED, threads=th),
@@ -242,6 +254,8 @@ def test_thread_count_never_changes_results():
         lambda th: ball_curve(gauss, [4, 8], 2.0, 9000, SEED, threads=th),
         lambda th: mc_escape_rate(tree, 12, 40000, SEED, threads=th),
         lambda th: point_mass_curve(slow, [4, 8], (0, 0), 5000, SEED,
+                                    threads=th),
+        lambda th: point_mass_curve(neg, [4, 8], (0,), 70000, SEED,
                                     threads=th),
     ]
     for run in runs:
@@ -280,6 +294,8 @@ def _engine_calls(n, trials=250):
     disps = np.array([g for g, _ in lazy.mu.support], dtype=np.int64)
     weights = [w for _, w in lazy.mu.support]
     gens = S3xZ().generators()
+    sign = IidSign(0.3).replay_table(lazy.group, lazy.mu)[1]
+    rotation = _replay(erw_config(3, 0.1))
     return {
         "cyclic": lambda th: fastpaths.cyclic_histogram(
             5, 0.6, [1, 4], [0.5, 0.5], n, trials, SEED, th).tolist(),
@@ -289,10 +305,13 @@ def _engine_calls(n, trials=250):
             disps, weights, 0.5, [2, n], 1.5, trials, SEED, th),
         "gaussian": lambda th: fastpaths.gaussian_ball_hits(
             2, 0.5, [2, n], 1.0, trials, SEED, th),
+        "lattice-table": lambda th: fastpaths.lattice_target_hits(
+            disps, weights, 0.5, [2, n], (0, 0, 0), trials, SEED, th,
+            replay=sign),
         "tree": lambda th: fastpaths.tree_erw_origin_hits(
-            3, 0.4, True, [2, n], trials, SEED, th),
+            3, 0.4, [2, n], trials, SEED, th, replay=rotation),
         "tree-distance": lambda th: fastpaths.tree_erw_distance_sums(
-            3, 0.4, True, n, trials, SEED, th),
+            3, 0.4, n, trials, SEED, th, replay=rotation),
         "s3z": lambda th: fastpaths.s3z_target_hits(
             0.5, gens, [1 / len(gens)] * len(gens), [2, n],
             S3xZ().identity(), trials, SEED, th),
@@ -424,11 +443,10 @@ def test_lattice_positions_past_the_packing_limit():
 
 
 def test_lattice_engine_past_the_packing_limit_vs_generic_sampler():
-    # Z^8 to n = 256 needs 10 bits per coordinate, too many for one int64;
-    # IidSign(1.0) keeps the law but takes the per-trial route
+    # Z^8 to n = 256 needs 10 bits per coordinate, too many for one int64
     cfg = lattice_cfg(8, 0.3)
     slow = SrrwConfig(group=cfg.group, alpha=cfg.alpha, mu=cfg.mu,
-                      transform=IidSign(1.0))
+                      transform=PER_TRIAL)
     (_, fast), = ball_curve(cfg, [256], 25.0, 1500, SEED)
     (_, ref), = ball_curve(slow, [256], 25.0, 1500, SEED + 1)
     assert 0.2 < ref.value < 0.8
@@ -476,8 +494,8 @@ def test_alpha_edges_give_the_exact_law():
             est = mc_point_mass(cfg, 6, target, 40000, SEED)
             assert abs(z_score(est, dist.prob(g.canonical_key(target)))) < 4
         # alpha = 1 without rotation repeats one letter: back at e on even n
-        assert fastpaths.tree_erw_origin_hits(3, 1.0, False, [1, 2, 3, 4],
-                                              1000, SEED) == {
+        assert fastpaths.tree_erw_origin_hits(3, 1.0, [1, 2, 3, 4], 1000,
+                                              SEED) == {
             1: 0, 2: 1000, 3: 0, 4: 1000}
 
 
@@ -494,3 +512,82 @@ def test_slot_table_and_searchsorted_agree(monkeypatch):
         support=[(0, 0.5), (1, 0.3141), (2, 0.1859)]))
     assert tv_distance(mc_histogram(cfg, 6, 60000, SEED),
                        exact_distribution(cfg, 6)) < 0.01
+
+
+def _table_cases():
+    """(config, horizon, targets) for each transform a replay table serves,
+    each at a horizon the exact enumeration reaches quickly."""
+    z1 = SrrwConfig(group=IntegerLatticeZd(1), alpha=0.5,
+                    mu=StepDistribution.uniform([(1,), (-1,)]),
+                    transform=Negation())
+    lazy2 = verify.lazy_lattice_config(2)
+    sign = SrrwConfig(group=lazy2.group, alpha=0.6, mu=lazy2.mu,
+                      transform=IidSign(0.3))
+    quarter = EchoLawLinear([([[0, -1], [1, 0]], 1.0)])
+    echo = SrrwConfig(group=IntegerLatticeZd(2), alpha=0.5,
+                      mu=StepDistribution.uniform(
+                          IntegerLatticeZd(2).generators()),
+                      transform=quarter)
+    # a 3-cycle and a drift: negation replays (132) and z - 1, which mu
+    # never draws
+    s3z = SrrwConfig(group=S3xZ(), alpha=0.5, mu=StepDistribution(
+        support=[(((1, 2, 0), 1), 0.5), (((1, 0, 2), 0), 0.5)]),
+        transform=Negation())
+    # no marker -1 among the fresh steps: only a negated replay brings the
+    # marker back
+    lamp = SrrwConfig(group=LamplighterZ(), alpha=0.5, mu=StepDistribution(
+        support=[((frozenset(), 0), 0.25), ((frozenset([0]), 0), 0.25),
+                 ((frozenset(), 1), 0.5)]), transform=Negation())
+    # the rotation on the lamplighter's generators: the engine's stay atom
+    # is neither drawn nor reached, and its row keeps it
+    lamp_gens = erw_config(3, 0.1, group=LamplighterZ())
+    return [(z1, 7, [(1,), (3,), (-5,)]), (sign, 5, [(0, 0), (1, -1)]),
+            (echo, 6, [(0, 0), (2, 0), (1, 1)]),
+            (s3z, 6, [S3xZ().identity(), ((1, 2, 0), 2)]),
+            (lamp, 6, [LamplighterZ().identity()]),
+            (lamp_gens, 6, [LamplighterZ().identity()])]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_table_engines_vs_exact(monkeypatch, case):
+    cfg, n, targets = _table_cases()[case]
+    assert _replay(cfg) is not None
+    monkeypatch.setattr(estimators, "_per_trial", None)
+    dist = exact_distribution(cfg, n)
+    key = cfg.group.canonical_key
+    for target in targets:
+        est = mc_point_mass(cfg, n, target, 40000, SEED)
+        assert dist.prob(key(target)) > 0.01
+        assert abs(z_score(est, dist.prob(key(target)))) < 4, target
+
+
+def test_table_branch_rules_agree_in_law(monkeypatch):
+    # IidSign(0.3) splits into 10 slots; with no slot table its branch is
+    # x - floor(x) inverted through (0.3, 0.7), with the same law
+    cfg, n, targets = _table_cases()[1]
+    dist = exact_distribution(cfg, n)
+    monkeypatch.setattr(fastpaths, "_MAX_SLOTS", 1)
+    for target in targets:
+        est = mc_point_mass(cfg, n, target, 40000, SEED)
+        assert abs(z_score(est, dist.prob(target))) < 4, target
+
+
+def test_rotation_is_a_replay_table():
+    # the elephant walk's rotation moves letter c to c + 1 + b mod d, b
+    # uniform on 0..d-2
+    for d in (2, 3, 5):
+        rows, weights = _replay(erw_config(d, 0.0))
+        assert rows == [[(c + 1 + b) % d for b in range(d - 1)]
+                        for c in range(d)]
+        assert weights == [1 / (d - 1)] * (d - 1)
+
+
+def test_negation_engine_vs_memory_walk(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import reference
+
+    cfg, _, _ = _table_cases()[0]
+    ns, trials = [64, 128, 256], 100000
+    exact = reference.memory_walk_return(cfg.alpha, ns)
+    for n, est in point_mass_curve(cfg, ns, (0,), trials, SEED):
+        assert abs(z_score(est, exact[n])) < 4, n

@@ -8,13 +8,14 @@ one fresh process runs every ``srrw verify`` suite alone at seed 1729 and
 keeps each row's ``as_json()``, then renders each argv list in ``ARGVS``
 with ``cli.render_bytes``.  The two processes run side by side, each with
 ``--threads N`` (default 1).  The tool prints every item that differs or
-exists on one side only, and exits with status 1 if there is one, else 0.
+exists on one side only, with the first line where the two texts part on
+each side (a verify row is one line of JSON), and exits with status 1 if
+there is one, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import subprocess
@@ -51,7 +52,10 @@ ARGVS = (
        _simulate("rd:2", "gaussian", "--ball-r", "1.5"),
        _simulate("lattice:1", "gens", "--transform", "negation"),
        _simulate("lamplighter", "lazy", "--target", "t"),
-       _simulate("tree:3", "gens", "--target", "ab")]
+       _simulate("tree:3", "gens", "--target", "ab"),
+       _simulate("lattice:2", "lazy", "--transform", "iid_sign:0.25"),
+       _simulate("lattice:2", "gens", "--transform",
+                 "echo:[[[[0,-1],[1,0]],1.0]]")]
     + [["exact", "--group", g, "--alpha", "0.5", "--mu", "lazy", "--n", "6"]
        for g in ("z2", "cycle:5")]
     + [_evoset("trace", "cycle:5", "pm1"),
@@ -62,7 +66,7 @@ ARGVS = (
 
 
 def collect(threads: int) -> dict:
-    """{item name: JSON text or artifact digest} for the srrw on sys.path."""
+    """{item name: row JSON or artifact text} for the srrw on sys.path."""
     from srrw import cli, verify
 
     out = {}
@@ -71,8 +75,21 @@ def collect(threads: int) -> dict:
             out[f"verify {row.criterion}"] = json.dumps(row.as_json())
     for argv in ARGVS:
         data = cli.render_bytes(argv + ["--threads", str(threads)])
-        out["srrw " + " ".join(argv)] = hashlib.sha256(data).hexdigest()
+        out["srrw " + " ".join(argv)] = data.decode()
     return out
+
+
+def differences(base, change) -> list:
+    """How two texts of one item differ: the first line where they part,
+    from each side, or the side the item is missing from."""
+    if base is None or change is None:
+        return [f"  missing from the {'base' if base is None else 'change'}"]
+    a, b = base.splitlines(), change.splitlines()
+    lines = [i for i in range(max(len(a), len(b))) if a[i:i + 1] != b[i:i + 1]]
+    i = lines[0]
+    return [f"  {len(lines)} lines differ; the first is line {i + 1}:",
+            f"    base:   {a[i] if i < len(a) else '(no line)'}",
+            f"    change: {b[i] if i < len(b) else '(no line)'}"]
 
 
 def start(tree: Path, threads: int) -> subprocess.Popen:
@@ -108,6 +125,7 @@ def main() -> int:
               if base.get(k) != change.get(k)]
     for k in differ:
         print(f"DIFFERS: {k}")
+        print("\n".join(differences(base.get(k), change.get(k))))
     rows = sum(k.startswith("verify ") for k in change)
     print(f"{len(change) - len(differ)} of {len(change)} items identical "
           f"({rows} verify rows, {len(change) - rows} artifacts)")
