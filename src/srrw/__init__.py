@@ -65,7 +65,6 @@ from .oracle import (
     ExactDistribution,
     exact_distribution,
     iid_convolution,
-    cluster_multiset_law,
     exact_isolated_distribution,
     tv_distance,
 )
@@ -121,7 +120,7 @@ __all__ = [
     "z2_return_gap", "z2_return_gap_bounds", "cycle_distribution",
     "decay_envelope", "decay_bound_check",
     "ExactDistribution", "exact_distribution", "iid_convolution",
-    "cluster_multiset_law", "exact_isolated_distribution", "tv_distance",
+    "exact_isolated_distribution", "tv_distance",
     "MuStep", "DeterministicStep", "KernelSeq", "kernel_seq_from_forest",
     "threshold_pieces", "martingale_defect", "evolve_step", "doob_step",
     "psi", "bottleneck", "iso_profile", "psi_profile",

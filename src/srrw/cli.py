@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import math
 import os
 import sys
@@ -163,18 +164,16 @@ def _run_poly(args) -> bytes:
             probs = cycle_distribution(args.alpha, args.L, n)
             rows.extend((n, m, float(p)) for m, p in enumerate(probs))
         return reports.csv_bytes(meta, ("n", "m", "probability"), rows)
-    if args.mode == "gap":
-        ns = _parse_list(args.n, "--n")
-        rows = []
-        for n in ns:
-            if n % 2 == 1:
-                rows.append((n, 0.0, 0.0, 0.0))
-                continue
-            lo, hi = z2_return_gap_bounds(args.alpha, n)
-            rows.append((n, z2_return_gap(args.alpha, n),
-                         _from_log(lo), _from_log(hi)))
-        return reports.csv_bytes(meta, ("n", "gap", "lower", "upper"), rows)
-    raise CliError(f"unknown poly mode {args.mode!r}")
+    ns = _parse_list(args.n, "--n")  # mode "gap"
+    rows = []
+    for n in ns:
+        if n % 2 == 1:
+            rows.append((n, 0.0, 0.0, 0.0))
+            continue
+        lo, hi = z2_return_gap_bounds(args.alpha, n)
+        rows.append((n, z2_return_gap(args.alpha, n),
+                     _from_log(lo), _from_log(hi)))
+    return reports.csv_bytes(meta, ("n", "gap", "lower", "upper"), rows)
 
 
 def _from_log(logv: float) -> float:
@@ -184,7 +183,10 @@ def _from_log(logv: float) -> float:
 def _run_evoset(args) -> bytes:
     if args.mode == "trace":
         cfg = _build_config(args)
-        n = _parse_list(args.n, "--n")[0]
+        ns = _parse_list(args.n, "--n")
+        if len(ns) != 1:
+            raise CliError("--n: evoset trace takes a single horizon")
+        n = ns[0]
         if n < 1:
             raise CliError(f"--n: evoset trace needs a horizon >= 1, got {n}")
         forest = grow(n, cfg.alpha, rngmod.stream(args.seed, 80))
@@ -198,16 +200,14 @@ def _run_evoset(args) -> bytes:
             rows.append((j, len(w)))
         meta = _meta(args, ("group", "alpha", "mu", "transform", "n"))
         return reports.csv_bytes(meta, ("j", "size"), rows)
-    if args.mode == "profile":
-        cfg = _build_config(args)
-        rows = []
-        for r in range(1, args.rmax + 1):
-            phi = iso_profile(cfg.group, cfg.mu, r, search_scope=args.scope)
-            psi = psi_profile(cfg.group, cfg.mu, r, search_scope=args.scope)
-            rows.append((r, phi.value, psi.value))
-        meta = _meta(args, ("group", "mu", "rmax", "scope"))
-        return reports.csv_bytes(meta, ("r", "phi", "psi"), rows)
-    raise CliError(f"unknown evoset mode {args.mode!r}")
+    cfg = _build_config(args)  # mode "profile"
+    rows = []
+    for r in range(1, args.rmax + 1):
+        phi = iso_profile(cfg.group, cfg.mu, r, search_scope=args.scope)
+        psi = psi_profile(cfg.group, cfg.mu, r, search_scope=args.scope)
+        rows.append((r, phi.value, psi.value))
+    meta = _meta(args, ("group", "mu", "rmax", "scope"))
+    return reports.csv_bytes(meta, ("r", "phi", "psi"), rows)
 
 
 def _run_verify(args) -> tuple:
@@ -229,8 +229,8 @@ def _run_verify(args) -> tuple:
 
 def _add_common(p, with_seed=True):
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("SRRW_THREADS", "1")))
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads (default: $SRRW_THREADS, else 1)")
     p.add_argument("--config", default=None,
                    help="key=value file supplying flag defaults")
     if with_seed:
@@ -244,7 +244,9 @@ def _add_walk_flags(p):
     p.add_argument("--transform", default="identity")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; callers must not modify it."""
     ap = argparse.ArgumentParser(
         prog="srrw",
         description="step-reinforced random walk experiments")
@@ -295,10 +297,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv):
-    """Fold key=value lines into argv as defaults; explicit flags win."""
-    if "--config" not in argv:
+    """Fold the key=value lines of ``--config PATH`` (or ``--config=PATH``)
+    into argv right after the subcommand.  argparse keeps the last value of
+    a flag, so every explicit flag, in any spelling, wins over the file."""
+    path = None
+    for i, tok in enumerate(argv):
+        if tok == "--config":
+            path = argv[i + 1] if i + 1 < len(argv) else ""
+        elif tok.startswith("--config="):
+            path = tok.partition("=")[2]
+    if path is None:
         return argv
-    path = argv[argv.index("--config") + 1]
+    if not path or path.startswith("-"):
+        raise CliError("--config: expected a path")
     extra = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -309,47 +320,55 @@ def _apply_config_file(argv):
                 raise CliError(f"config line {lineno}: expected key=value, "
                                f"got {line!r}")
             key, _, val = line.partition("=")
-            key = key.strip().replace("_", "-")
-            flag = f"--{key}"
-            if flag in argv:
-                continue
-            extra.extend([flag, val.strip()])
-    return argv + extra
+            extra.extend([f"--{key.strip().replace('_', '-')}", val.strip()])
+    return argv[:1] + extra + argv[1:]
+
+
+def _parse(argv):
+    """The namespace of one invocation, config file folded in; --threads
+    falls back to $SRRW_THREADS as it is when the call is made."""
+    args = build_parser().parse_args(_apply_config_file(list(argv)))
+    if args.threads is None:
+        text = os.environ.get("SRRW_THREADS", "1")
+        try:
+            args.threads = int(text)
+        except ValueError:
+            raise CliError(f"SRRW_THREADS: expected an integer, got {text!r}")
+    return args
 
 
 _RUNNERS = {"simulate": _run_simulate, "exact": _run_exact,
             "poly": _run_poly, "evoset": _run_evoset}
 
 
-def render_bytes(argv) -> bytes:
-    """Run one invocation and return its artifact; used by the determinism
-    suite to compare thread counts without touching the filesystem.  A
-    library ValueError becomes a CliError naming the subcommand."""
-    argv = _apply_config_file(list(argv))
-    args = build_parser().parse_args(argv)
-    if args.subcommand not in _RUNNERS:
-        raise CliError(f"render_bytes does not cover {args.subcommand!r}")
+def _render(args) -> bytes:
+    """Run a parsed non-verify invocation; a library ValueError becomes a
+    CliError naming the subcommand."""
     try:
         return _RUNNERS[args.subcommand](args)
     except ValueError as ex:
         raise CliError(f"{args.subcommand}: {ex}")
 
 
+def render_bytes(argv) -> bytes:
+    """Run one invocation and return its artifact; used by the determinism
+    suite to compare thread counts without touching the filesystem."""
+    args = _parse(argv)
+    if args.subcommand not in _RUNNERS:
+        raise CliError(f"render_bytes does not cover {args.subcommand!r}")
+    return _render(args)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config_file(argv)
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
         if args.subcommand == "verify":
             data, all_pass = _run_verify(args)
             status = 0 if all_pass else 1
         else:
-            data = render_bytes(argv)
-            status = 0
-    except CliError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except OSError as ex:
+            data, status = _render(args), 0
+    except (CliError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     if args.out == "-":

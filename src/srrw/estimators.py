@@ -28,10 +28,6 @@ from .stats import Z95, Estimate, binomial_estimate, mean_estimate
 
 _GENERIC_CHUNK = 2048
 
-# The lamplighter engine's atom order: stay, toggle, marker +1, marker -1.
-_LAMP_ATOMS = [(frozenset(), 0), (frozenset([0]), 0), (frozenset(), 1),
-               (frozenset(), -1)]
-
 
 def _engine(config, query, arg=None):
     """The vectorized engine serving ``query`` on config, or None.
@@ -49,9 +45,12 @@ def _engine(config, query, arg=None):
             == group.canonical_key(group.identity()))
     tree, lamp = (isinstance(group, RegularTreeFree),
                   isinstance(group, LamplighterZ))
-    table = config.transform.replay_table(
-        group, config.mu,
-        group.generators() if tree else _LAMP_ATOMS if lamp else ())
+    # the engines' atom orders: the tree's letters; on the lamplighter,
+    # stay, toggle, marker +1, marker -1 (the order StepDistribution.lazy
+    # lists)
+    order = (group.generators() if tree
+             else [group.identity()] + group.generators() if lamp else [])
+    table = config.transform.replay_table(group, config.mu, order)
     if table is None:
         return None
     sup, replay = table
@@ -81,7 +80,7 @@ def _engine(config, query, arg=None):
     if isinstance(group, S3xZ) and query == "point":
         return lambda ns, t, s, th: fastpaths.s3z_target_hits(
             alpha, atoms, weights, ns, arg, t, s, threads=th, replay=replay)
-    if lamp and at_e and len(sup) == len(_LAMP_ATOMS):
+    if lamp and at_e and len(sup) == len(order):
         return lambda ns, t, s, th: fastpaths.lamplighter_origin_hits(
             alpha, weights, ns, t, s, threads=th, replay=replay)
     if (isinstance(group, CycleZL) and query == "histogram"

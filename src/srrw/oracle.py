@@ -2,10 +2,10 @@
 
 Ground truth for everything else: enumerate all of the walk's randomness
 (retention flags, past picks, fresh draws, transformation coins) with exact
-probability weights and accumulate the law of the endpoint.  A memoized route
-covers the identity-transform abelian case, where the endpoint law only
-depends on the multiset of percolation cluster sizes, letting the exact
-computation reach horizons the raw tree cannot.
+probability weights and accumulate the law of the endpoint.  With the
+identity transform on an abelian group the endpoint depends only on how many
+steps took each atom of mu, and those counts form an urn, so a polynomial
+chain over count vectors reaches horizons the raw tree cannot.
 
 Float masses are accumulated with compensated summation; an exact-rational
 mode reruns the same enumeration in Fraction arithmetic (on the exact binary
@@ -23,20 +23,32 @@ from .sampler import Identity, SrrwConfig, WalkTrace
 DFS_CAP = 8
 
 
-class _KahanMap:
-    """Per-key compensated float accumulation."""
+class _MassMap:
+    """Endpoint masses by canonical key, with a representative element for
+    each: exact sums for Fractions, compensated sums for floats."""
 
-    def __init__(self):
+    def __init__(self, group: Group, exact: bool):
+        self.group, self.exact = group, exact
         self.sums: dict = {}
+        self.rep: dict = {}
         self._comp: dict = {}
 
-    def add(self, key, w):
-        s = self.sums.get(key, 0.0)
-        c = self._comp.get(key, 0.0)
-        y = w - c
+    def add(self, x, w):
+        key = self.group.canonical_key(x)
+        self.rep.setdefault(key, x)
+        s = self.sums.get(key, 0)
+        if self.exact:
+            self.sums[key] = s + w
+            return
+        y = w - self._comp.get(key, 0.0)
         t = s + y
         self._comp[key] = (t - s) - y
         self.sums[key] = t
+
+    def law(self, n: int, count: int) -> "ExactDistribution":
+        mass = {k: p for k, p in self.sums.items() if p > 0}
+        return ExactDistribution(n=n, mass=mass, rep=self.rep,
+                                 enumeration_count=count).check()
 
 
 @dataclass
@@ -56,13 +68,6 @@ class ExactDistribution:
 
     def prob(self, key) -> float:
         return float(self.mass.get(key, 0))
-
-
-def element_power(group: Group, g, s: int):
-    out = group.identity()
-    for _ in range(s):
-        out = group.multiply(out, g)
-    return out
 
 
 def iid_convolution(group: Group, mu: StepDistribution, n: int,
@@ -97,11 +102,12 @@ def exact_distribution(config: SrrwConfig, n: int, exact: bool = False,
                        n_cap: int = DFS_CAP) -> ExactDistribution:
     """Exact endpoint law by full enumeration.
 
-    Identity transforms on an abelian group route through the cluster-size
-    memoization and support any modest n; everything else walks the full
-    branching tree and is capped at ``n_cap`` (default 8) steps.  With
-    ``exact=True`` all weights are Fractions built from the exact binary
-    values of the float parameters, certifying the float accumulation.
+    Identity transforms on an abelian group run the type-count urn, whose
+    state count grows like n^(k-1) for k atoms, and take any modest n;
+    everything else walks the full branching tree and is capped at
+    ``n_cap`` (default 8) steps.  With ``exact=True`` all weights are
+    Fractions built from the exact binary values of the float parameters,
+    certifying the float accumulation.
     """
     if config.mu.is_continuous:
         raise ValueError("exact law needs a finite-support mu")
@@ -114,7 +120,7 @@ def exact_distribution(config: SrrwConfig, n: int, exact: bool = False,
     if n > n_cap:
         raise ValueError(
             f"full enumeration capped at n = {n_cap}; got n = {n} "
-            "(only the identity-transform abelian case is memoized)")
+            "(only the identity-transform abelian case avoids the tree)")
     return _exact_dfs(config, n, exact)
 
 
@@ -123,8 +129,7 @@ def _exact_dfs(config: SrrwConfig, n: int, exact: bool) -> ExactDistribution:
     alpha = Fraction(config.alpha) if exact else config.alpha
     one = Fraction(1) if exact else 1.0
     mu_atoms = [(e, Fraction(w) if exact else w) for e, w in mu.support]
-    acc = {} if exact else _KahanMap()
-    rep: dict = {}
+    acc = _MassMap(g, exact)
     count = 0
 
     steps: list = []
@@ -132,13 +137,8 @@ def _exact_dfs(config: SrrwConfig, n: int, exact: bool) -> ExactDistribution:
 
     def record(w):
         nonlocal count
-        key = g.canonical_key(positions[-1])
-        rep.setdefault(key, positions[-1])
         count += 1
-        if exact:
-            acc[key] = acc.get(key, 0) + w
-        else:
-            acc.add(key, w)
+        acc.add(positions[-1], w)
 
     def branch(j, w):
         if j > n:
@@ -166,95 +166,47 @@ def _exact_dfs(config: SrrwConfig, n: int, exact: bool) -> ExactDistribution:
         positions.pop()
 
     branch(1, one)
-    mass = acc if exact else acc.sums
-    mass = {k: p for k, p in mass.items() if p > 0}
-    return ExactDistribution(n=n, mass=mass, rep=rep,
-                             enumeration_count=count).check()
-
-
-def cluster_multiset_law(alpha, n: int, exact: bool = False) -> dict:
-    """Law of the sorted tuple of cluster sizes after n vertices.
-
-    Markov in the multiset: a new vertex starts a fresh singleton with
-    probability 1 - alpha, otherwise it joins an existing cluster with
-    probability proportional to the cluster's size.
-    """
-    a = Fraction(alpha) if exact else float(alpha)
-    one = Fraction(1) if exact else 1.0
-    states = {(1,): one}
-    for j in range(1, n):
-        nxt: dict = {}
-
-        def add(sizes, p):
-            nxt[sizes] = nxt.get(sizes, p * 0) + p
-
-        for sizes, p in states.items():
-            if a < 1:
-                add(tuple(sorted(sizes + (1,))), p * (one - a))
-            if a > 0:
-                seen = set()
-                for i, s in enumerate(sizes):
-                    if s in seen:
-                        continue
-                    seen.add(s)
-                    mult = sizes.count(s)
-                    grown = list(sizes)
-                    grown[i] = s + 1
-                    add(tuple(sorted(grown)), p * a * s * mult / j)
-        states = nxt
-    return states
+    return acc.law(n, count)
 
 
 def _exact_identity_abelian(config: SrrwConfig, n: int,
                             exact: bool) -> ExactDistribution:
-    g, mu = config.group, config.mu
-    sizes_law = cluster_multiset_law(config.alpha, n, exact=exact)
-    mu_atoms = [(e, Fraction(w) if exact else w) for e, w in mu.support]
-    one = Fraction(1) if exact else 1.0
+    """Type-count urn: with identity replay, step j + 1 has the type of
+    atom i with probability (1 - alpha) w_i + alpha c_i / j, where c counts
+    the earlier steps of each type; on an abelian group c fixes the
+    position."""
+    g = config.group
+    alpha = Fraction(config.alpha) if exact else config.alpha
+    atoms = [e for e, _ in config.mu.support]
+    weights = [Fraction(w) if exact else w for _, w in config.mu.support]
+    k = len(atoms)
+    states = {tuple(int(i == m) for i in range(k)): w
+              for m, w in enumerate(weights)}
+    fresh = [(1 - alpha) * w for w in weights]
+    for j in range(1, n):
+        nxt: dict = {}
+        for c, p in states.items():
+            for i in range(k):
+                q = fresh[i] + alpha * c[i] / j
+                if q > 0:
+                    d = c[:i] + (c[i] + 1,) + c[i + 1:]
+                    nxt[d] = nxt.get(d, 0) + p * q
+        states = nxt
 
-    power_law_cache: dict = {}
-
-    def power_law(s: int) -> dict:
-        # law of g^s for g ~ mu, as key -> (element, prob)
-        if s not in power_law_cache:
-            law: dict = {}
-            for e, w in mu_atoms:
-                y = element_power(g, e, s)
-                ky = g.canonical_key(y)
-                if ky in law:
-                    law[ky] = (y, law[ky][1] + w)
-                else:
-                    law[ky] = (y, w)
-            power_law_cache[s] = law
-        return power_law_cache[s]
-
-    acc = {} if exact else _KahanMap()
-    rep: dict = {}
-    count = 0
-    for sizes, p_sizes in sizes_law.items():
-        cur = {g.canonical_key(g.identity()): (g.identity(), one)}
-        for s in sizes:
-            nxt: dict = {}
-            for _, (x, p) in cur.items():
-                for y, w in power_law(s).values():
-                    z = g.multiply(x, y)
-                    kz = g.canonical_key(z)
-                    if kz in nxt:
-                        nxt[kz] = (z, nxt[kz][1] + p * w)
-                    else:
-                        nxt[kz] = (z, p * w)
-            cur = nxt
-        for key, (x, p) in cur.items():
-            rep.setdefault(key, x)
-            count += 1
-            if exact:
-                acc[key] = acc.get(key, 0) + p_sizes * p
-            else:
-                acc.add(key, p_sizes * p)
-    mass = acc if exact else acc.sums
-    mass = {k: p for k, p in mass.items() if p > 0}
-    return ExactDistribution(n=n, mass=mass, rep=rep,
-                             enumeration_count=count).check()
+    powers = []
+    for e in atoms:
+        row = [g.identity()]
+        for _ in range(n):
+            row.append(g.multiply(row[-1], e))
+        powers.append(row)
+    acc = _MassMap(g, exact)
+    for c, p in states.items():
+        x = g.identity()
+        for row, ci in zip(powers, c):
+            if ci:
+                x = g.multiply(x, row[ci])
+        acc.add(x, p)
+    return acc.law(n, len(states))
 
 
 def exact_isolated_distribution(alpha, n: int, exact: bool = False) -> dict:

@@ -99,6 +99,8 @@ def test_evoset_trace_shape_and_determinism():
     assert len(rows) == 7
     assert all(size >= 1 for _, size in rows)
     assert render_bytes(argv) == data
+    with pytest.raises(CliError, match="takes a single horizon"):
+        render_bytes(argv[:-4] + ["--n", "4,8", "--seed", "9"])
 
 
 def test_evoset_profile_values():
@@ -111,19 +113,39 @@ def test_evoset_profile_values():
     assert math.isclose(r1[2], 1 - (math.sqrt(3) + 1) / 4, abs_tol=1e-12)
 
 
-def test_threads_flag_never_changes_bytes():
+def test_threads_flag_never_changes_bytes(monkeypatch):
+    import srrw.cli as cli
+
+    seen = []
+    curve = cli.point_mass_curve
+
+    def spy(*args, threads, **kw):
+        seen.append(threads)
+        return curve(*args, threads=threads, **kw)
+
+    monkeypatch.setattr(cli, "point_mass_curve", spy)
+    monkeypatch.delenv("SRRW_THREADS", raising=False)
     base = ["simulate", "--group", "lattice:2", "--alpha", "0.5", "--mu",
             "lazy", "--n", "8,16", "--trials", "4000", "--target", "e",
             "--seed", "3"]
     ref = render_bytes(base + ["--threads", "1"])
     assert render_bytes(base + ["--threads", "3"]) == ref
+    # the default is $SRRW_THREADS as it is at each call, else 1
+    assert render_bytes(base) == ref
+    monkeypatch.setenv("SRRW_THREADS", "2")
+    assert render_bytes(base) == ref
+    assert seen == [1, 3, 1, 2]
+    monkeypatch.setenv("SRRW_THREADS", "many")
+    with pytest.raises(CliError, match="SRRW_THREADS"):
+        render_bytes(base)
 
 
 def test_config_file_defaults_and_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# defaults\nalpha = 0.25\ntrials = 1500\n")
-    base = ["simulate", "--group", "lattice:1", "--mu", "gens", "--n", "4",
-            "--target", "e", "--seed", "2", "--config", str(cfg)]
+    cfg.write_text("# defaults\nalpha = 0.25\ntrials = 1500\nn = 4,8\n")
+    walk = ["simulate", "--group", "lattice:1", "--mu", "gens", "--target",
+            "e", "--seed", "2"]
+    base = walk + ["--n", "4", "--config", str(cfg)]
     from_file = render_bytes(base)
     direct = render_bytes(["simulate", "--group", "lattice:1", "--alpha",
                            "0.25", "--mu", "gens", "--n", "4", "--trials",
@@ -134,14 +156,31 @@ def test_config_file_defaults_and_precedence(tmp_path):
         ["simulate", "--group", "lattice:1", "--alpha", "0.5", "--mu", "gens",
          "--n", "4", "--trials", "1500", "--target", "e", "--seed", "2"])
     assert overridden != from_file
+    # --flag=value is as explicit as --flag value, and --config=PATH is read
+    assert render_bytes(walk + ["--n=4", "--config", str(cfg)]) == direct
+    assert render_bytes(walk + ["--n", "4", f"--config={cfg}"]) == direct
+    assert render_bytes(walk + ["--config", str(cfg), "--n=16"]) == (
+        render_bytes(walk + ["--alpha", "0.25", "--trials", "1500",
+                             "--n", "16"]))
+    assert render_bytes(walk + [f"--config={cfg}"]) == render_bytes(
+        walk + ["--alpha", "0.25", "--trials", "1500", "--n", "4,8"])
 
 
-def test_config_file_rejects_garbage(tmp_path):
+def test_config_file_rejects_garbage(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("alpha 0.25\n")
-    with pytest.raises(CliError, match="key=value"):
-        render_bytes(["simulate", "--group", "z2", "--mu", "lazy", "--n", "2",
-                      "--trials", "10", "--target", "e", "--config", str(cfg)])
+    argv = ["simulate", "--group", "z2", "--mu", "lazy", "--n", "2",
+            "--trials", "10", "--target", "e"]
+    for extra, reason in ((["--config", str(cfg)], "key=value"),
+                          ([f"--config={cfg}"], "key=value"),
+                          (["--config"], "--config: expected a path"),
+                          (["--config="], "--config: expected a path"),
+                          (["--config", "--seed", "3"],
+                           "--config: expected a path")):
+        with pytest.raises(CliError, match=reason):
+            render_bytes(argv + extra)
+        assert main(argv + extra) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_main_writes_out_file_and_exit_codes(tmp_path, capsys):

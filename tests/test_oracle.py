@@ -3,29 +3,19 @@ the isolated-count brute force they are checked against."""
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from srrw.elephant import lambda_table
+from srrw.elephant import lambda_table, signed_position_law
 from srrw.groups import (CycleZL, IntegerLatticeZd, RegularTreeFree,
                          StepDistribution, Z2)
-from srrw.oracle import (cluster_multiset_law, element_power,
-                         exact_distribution, exact_isolated_distribution,
+from srrw.oracle import (exact_distribution, exact_isolated_distribution,
                          iid_convolution, isolated_distribution_bruteforce,
                          tv_distance)
 from srrw.sampler import HistoryDependent, IidSign, Negation, SrrwConfig
 
 Z2_MU = StepDistribution(support=[(0, 0.5), (1, 0.5)])
-
-
-def test_element_power():
-    g = CycleZL(5)
-    assert element_power(g, 2, 0) == 0
-    assert element_power(g, 2, 4) == 3
-    t = RegularTreeFree(3)
-    a = t.parse_element("a")
-    assert element_power(t, a, 2) == t.identity()
-    assert element_power(t, a, 3) == a
 
 
 def test_iid_convolution_simple():
@@ -40,7 +30,8 @@ def test_iid_convolution_simple():
 
 def test_routes_agree_on_abelian_groups():
     # IidSign(1.0) never inverts, so its law is the identity transform's,
-    # but it forces the generic branching enumeration
+    # but it forces the generic branching enumeration; in Fractions the
+    # type-count urn and the tree give the same masses exactly
     for g, mu in [
         (Z2(), Z2_MU),
         (CycleZL(4), StepDistribution(support=[(1, 0.3), (3, 0.7)])),
@@ -52,13 +43,26 @@ def test_routes_agree_on_abelian_groups():
             cfg_fast = SrrwConfig(group=g, alpha=alpha, mu=mu)
             cfg_slow = SrrwConfig(group=g, alpha=alpha, mu=mu,
                                   transform=IidSign(1.0))
-            for n in (1, 3, 6):
-                fast = exact_distribution(cfg_fast, n)
-                slow = exact_distribution(cfg_slow, n)
+            for n, exact in product((1, 3, 6), (False, True)):
+                fast = exact_distribution(cfg_fast, n, exact=exact)
+                slow = exact_distribution(cfg_slow, n, exact=exact)
+                if exact:
+                    assert fast.mass == slow.mass
+                    continue
                 keys = set(fast.mass) | set(slow.mass)
                 for k in keys:
                     assert math.isclose(fast.prob(k), slow.prob(k),
                                         abs_tol=1e-13)
+
+
+def test_urn_matches_the_memory_walk_on_z():
+    g = IntegerLatticeZd(1)
+    mu = StepDistribution(support=[((1,), 0.5), ((-1,), 0.5)])
+    n = 64
+    dist = exact_distribution(SrrwConfig(group=g, alpha=0.5, mu=mu), n)
+    law = signed_position_law(0.5, n)
+    for s in range(-n, n + 1):
+        assert math.isclose(dist.prob((s,)), law[s + n], abs_tol=1e-12)
 
 
 def test_negation_on_z2_equals_identity_route():
@@ -108,42 +112,13 @@ def test_known_return_probabilities():
                         abs_tol=1e-13)
 
 
-def test_cluster_multiset_law_n3_by_hand():
-    a = Fraction(3, 10)
-    law = cluster_multiset_law(a, 3, exact=True)
-    assert law == {
-        (1, 1, 1): (1 - a) ** 2,
-        (1, 2): 2 * a * (1 - a),
-        (3,): a ** 2,
-    }
-    flaw = cluster_multiset_law(0.3, 3)
-    for sizes, p in law.items():
-        assert math.isclose(flaw[sizes], float(p), abs_tol=1e-15)
-
-
-def test_cluster_multiset_mass_and_size_total():
-    for alpha in (0.0, 0.35, 1.0):
-        law = cluster_multiset_law(Fraction(alpha).limit_denominator(100), 7,
-                                   exact=True)
-        assert sum(law.values()) == 1
-        assert all(sum(sizes) == 7 for sizes in law)
-
-
 def test_isolated_law_consistency():
     for alpha in (0.0, 0.25, 0.7, 1.0):
         for n in (1, 2, 4, 6):
             markov = exact_isolated_distribution(alpha, n)
             brute = isolated_distribution_bruteforce(alpha, n)
-            multiset = cluster_multiset_law(alpha, n)
-            from_sizes: dict = {}
-            for sizes, p in multiset.items():
-                i = sizes.count(1)
-                from_sizes[i] = from_sizes.get(i, 0.0) + p
-            keys = set(markov) | set(brute) | set(from_sizes)
-            for k in keys:
+            for k in set(markov) | set(brute):
                 assert math.isclose(markov.get(k, 0.0), brute.get(k, 0.0),
-                                    abs_tol=1e-12)
-                assert math.isclose(markov.get(k, 0.0), from_sizes.get(k, 0.0),
                                     abs_tol=1e-12)
 
 
