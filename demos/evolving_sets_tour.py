@@ -1,8 +1,10 @@
 """Evolving sets in five short scenes.
 
 A set grows or shrinks by thresholding the mass its current members push
-onto each point against one shared uniform draw.  Size is a martingale,
-membership probabilities reproduce the transition kernel exactly, and the
+onto each point against one shared uniform draw: one step cuts the unit
+interval into pieces, each yielding one next set (``step_pieces``).  Size
+is a martingale, membership probabilities reproduce the transition kernel
+exactly (and the vectorized set-chain sampler estimates them), and the
 square-root growth of the conditioned chain is controlled from below by
 the bottleneck ratio.  Everything here is small enough to verify exactly.
 """
@@ -10,17 +12,18 @@ the bottleneck ratio.  Everything here is small enough to verify exactly.
 import math
 from fractions import Fraction
 
-from srrw import (CycleZL, KernelSeq, MuStep, StepDistribution, doob_step,
-                  iso_profile, martingale_defect, psi, psi_profile, set_tree,
-                  threshold_pieces, transition_via_evolving_sets)
-from srrw.evolving import compose_matrices, enumerate_group
+from srrw import (CycleZL, KernelSeq, MuStep, StepDistribution,
+                  binomial_estimate, doob_step, fastpaths, iso_profile,
+                  martingale_defect, psi, psi_profile, set_tree, step_pieces)
+from srrw.evolving import compose_matrices, enumerate_group, mask_tables
 
 SEED = 1729
 
 
 def scene_pieces(g, mu):
-    print("threshold pieces of {0} under the lazy step law:")
-    for length, a in threshold_pieces(g, mu, {0}):
+    print("step pieces of {0} under the lazy step law "
+          "(the empty set above the top level):")
+    for length, a in step_pieces(g, mu, {0}, MuStep()):
         print(f"  length {length} -> {sorted(a)}")
     print(f"psi({{0}}) = {psi(g, mu, {0}):.10f} "
           f"(closed form 1 - (1+sqrt 3)/4 = {1 - (1 + math.sqrt(3)) / 4:.10f})")
@@ -48,7 +51,12 @@ def scene_duality(g, mu):
     exact = compose_matrices(seq, elems, 0, 4)[0, 2]
     states = set_tree(seq, {0}, 0, 4)
     via_sets = sum(p for w, p in states if 2 in w)
-    est = transition_via_evolving_sets(seq, 0, 2, 4, 40_000, SEED)
+    # bit i of a final mask says whether elems[i] is in the set
+    trials = 40_000
+    counts = fastpaths.masked_set_walk(mask_tables(seq, elems), 1 << 0,
+                                       len(elems), trials, SEED)
+    hits = int(sum(c for mask, c in enumerate(counts) if mask >> 2 & 1))
+    est = binomial_estimate(hits, trials)
     print(f"\nP(S_4 = 2 from 0): kernel power {exact:.6f}, "
           f"exact set law {float(via_sets):.6f}, "
           f"set-membership estimate {est.value:.4f} +- {2 * est.stderr:.4f}")

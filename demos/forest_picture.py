@@ -10,7 +10,7 @@ and its lower tail is exponentially thin.
 
 import math
 
-from srrw import (StepDistribution, SrrwConfig, Z2, assign_and_assemble,
+from srrw import (CycleZL, StepDistribution, SrrwConfig, assign_and_assemble,
                   clusters, exact_isolated_distribution, grow,
                   isolated_counts_batch, stream)
 
@@ -29,7 +29,7 @@ def one_forest(n=12):
           f"{stats.isolated_count} isolated")
 
     mu = StepDistribution(support=[(0, 0.5), (1, 0.5)])
-    cfg = SrrwConfig(group=Z2(), alpha=ALPHA, mu=mu)
+    cfg = SrrwConfig(group=CycleZL(2), alpha=ALPHA, mu=mu)
     trace = assign_and_assemble(forest, cfg, stream(SEED, 2))
     picked = sum(s * trace.steps[r - 1]
                  for r, s in stats.sizes.items()) % 2

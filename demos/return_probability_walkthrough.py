@@ -7,9 +7,9 @@ numbers, and each pair's agreement is checked by the test suite at tighter
 tolerances than shown here.
 """
 
-from srrw import (CycleZL, SrrwConfig, StepDistribution, Z2,
-                  cycle_distribution, exact_distribution, mc_point_mass,
-                  z2_return_gap, z2_return_gap_bounds)
+from srrw import (CycleZL, SrrwConfig, StepDistribution, cycle_distribution,
+                  exact_distribution, mc_point_mass, z2_return_gap,
+                  z2_return_gap_bounds)
 
 ALPHA = 0.5
 SEED = 1729
@@ -18,7 +18,7 @@ SEED = 1729
 def two_point_story():
     print("== two-point group, alpha = %.2f ==" % ALPHA)
     mu = StepDistribution(support=[(0, 0.5), (1, 0.5)])
-    cfg = SrrwConfig(group=Z2(), alpha=ALPHA, mu=mu)
+    cfg = SrrwConfig(group=CycleZL(2), alpha=ALPHA, mu=mu)
     print(" n   exact P(S_n=e)   via gap      monte carlo")
     for n in (2, 4, 6, 8):
         exact = exact_distribution(cfg, n).prob(0)

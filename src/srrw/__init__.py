@@ -9,7 +9,6 @@ same functionality as a command line tool.
 from .rng import stream, as_generator
 from .groups import (
     Group,
-    Z2,
     CycleZL,
     IntegerLatticeZd,
     EuclideanRd,
@@ -73,15 +72,13 @@ from .evolving import (
     DeterministicStep,
     KernelSeq,
     kernel_seq_from_forest,
-    threshold_pieces,
+    step_pieces,
     martingale_defect,
-    evolve_step,
     doob_step,
     psi,
     bottleneck,
     iso_profile,
     psi_profile,
-    transition_via_evolving_sets,
     set_tree,
 )
 from .stats import Estimate, binomial_estimate, mean_estimate, wilson_interval
@@ -104,8 +101,8 @@ __version__ = VERSION
 
 __all__ = [
     "stream", "as_generator",
-    "Group", "Z2", "CycleZL", "IntegerLatticeZd", "EuclideanRd",
-    "RegularTreeFree", "LamplighterZ", "S3xZ", "StepDistribution",
+    "Group", "CycleZL", "IntegerLatticeZd", "EuclideanRd", "RegularTreeFree",
+    "LamplighterZ", "S3xZ", "StepDistribution",
     "group_from_literal", "is_class_function", "bfs_ball",
     "OutOfEnumeratedBallError",
     "SrrwConfig", "WalkTrace", "Transform", "Identity", "Negation",
@@ -122,9 +119,8 @@ __all__ = [
     "ExactDistribution", "exact_distribution", "iid_convolution",
     "exact_isolated_distribution", "tv_distance",
     "MuStep", "DeterministicStep", "KernelSeq", "kernel_seq_from_forest",
-    "threshold_pieces", "martingale_defect", "evolve_step", "doob_step",
-    "psi", "bottleneck", "iso_profile", "psi_profile",
-    "transition_via_evolving_sets", "set_tree",
+    "step_pieces", "martingale_defect", "doob_step", "psi", "bottleneck",
+    "iso_profile", "psi_profile", "set_tree",
     "Estimate", "binomial_estimate", "mean_estimate", "wilson_interval",
     "point_mass_curve", "mc_point_mass", "mc_histogram",
     "ball_curve", "mc_ball", "mc_escape_rate",

@@ -368,14 +368,14 @@ def main(argv=None) -> int:
             status = 0 if all_pass else 1
         else:
             data, status = _render(args), 0
+        if args.out == "-":
+            sys.stdout.buffer.write(data)
+        else:
+            with open(args.out, "wb") as fh:
+                fh.write(data)
     except (CliError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    if args.out == "-":
-        sys.stdout.buffer.write(data)
-    else:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
     return status
 
 

@@ -8,10 +8,16 @@ process thresholds the incoming-mass profile of the current set against a
 uniform variable; its set sizes form a martingale, and the size-biased Doob
 transform of the process never dies out.
 
-All threshold decompositions here are exact: step weights are floats, floats
-are rationals, and the pieces are computed in Fraction arithmetic, so the
-martingale identity sum_i len_i |A_i| = |W| holds to machine equality rather
-than within a tolerance.
+``step_pieces`` is the one definition of a step: the unit interval cut into
+exact pieces, each yielding one next set.  Everything else reads it: psi and
+the martingale defect integrate over it, ``doob_step`` size-biases it,
+``set_tree`` enumerates it, and ``mask_tables`` tabulates it for the one
+Monte Carlo sampler of the chain, ``fastpaths.masked_set_walk``.
+
+The pieces are exact: step weights are floats, floats are rationals, and the
+pieces are computed in Fraction arithmetic, so the martingale identity
+sum_i len_i |A_i| = |W| holds to machine equality rather than within a
+tolerance.
 """
 
 from __future__ import annotations
@@ -24,11 +30,10 @@ from itertools import accumulate
 import numpy as np
 
 from . import rng as rngmod
-from .fastpaths import _chunk_map
+from .fastpaths import MAX_SET_POINTS
 from .forest import PercolatedForest, clusters
 from .groups import Group, StepDistribution, bfs_ball
 from .sampler import SrrwConfig, WalkTrace
-from .stats import Estimate, binomial_estimate
 
 
 @dataclass
@@ -105,70 +110,46 @@ def mass_profile(group: Group, mu: StepDistribution, W) -> dict:
     return q
 
 
-def threshold_pieces(group: Group, mu: StepDistribution, W) -> list:
-    """The exact threshold decomposition of one evolving-set step.
-
-    Returns ``[(length, set)]`` where the uniform variable falling in the
-    i-th length produces the i-th set; lengths are Fractions summing to the
-    top profile value.  The sets are nested decreasing in the listed order
-    of strictly decreasing threshold.
-    """
-    if not W:
-        raise ValueError("empty current set")
-    q = mass_profile(group, mu, W)
-    levels = sorted(set(q.values()), reverse=True)
-    pieces = []
-    for i, lvl in enumerate(levels):
-        nxt = levels[i + 1] if i + 1 < len(levels) else Fraction(0)
-        a = {y for y, v in q.items() if v >= lvl}
-        pieces.append((lvl - nxt, a))
-    return pieces
-
-
-def martingale_defect(group: Group, mu: StepDistribution, W) -> Fraction:
-    """sum_i len_i |A_i| - |W|; exactly zero for every valid decomposition."""
-    pieces = threshold_pieces(group, mu, W)
-    return sum((l * len(a) for l, a in pieces), Fraction(0)) - len(W)
-
-
 def step_pieces(group: Group, mu: StepDistribution, W, kernel) -> list:
     """One evolving-set step from W as ``[(length, set)]``, Fraction
     lengths summing to 1: a uniform in the i-th length yields the i-th set.
 
-    The empty set stays empty and a translation is one piece; a mu-step is
-    ``threshold_pieces`` and then the empty set above the top level.
+    The empty set stays empty and a translation is one piece.  A mu-step
+    thresholds the exact mass profile: one piece per distinct level, in
+    strictly decreasing order (so the sets are nested decreasing), each as
+    long as the gap to the next level, and then the empty set above the top
+    level.
     """
     if not W:
         return [(Fraction(1), set())]
     if isinstance(kernel, DeterministicStep):
         return [(Fraction(1), {group.multiply(x, kernel.g) for x in W})]
-    pieces = threshold_pieces(group, mu, W)
-    return pieces + [(1 - sum(l for l, _ in pieces), set())]
-
-
-def evolve_step(group: Group, mu: StepDistribution, W, kernel, U: float):
-    """One evolving-set update: keep the points whose incoming mass reaches U.
-
-    A deterministic kernel translates the whole set for every U; the
-    distribution kernel thresholds the exact mass profile.
-    """
-    if isinstance(kernel, DeterministicStep):
-        return {group.multiply(x, kernel.g) for x in W}
-    u = Fraction(U) if not isinstance(U, Fraction) else U
     q = mass_profile(group, mu, W)
-    return {y for y, v in q.items() if v >= u}
+    levels = sorted(set(q.values()), reverse=True)
+    pieces = [(lvl - nxt, {y for y, v in q.items() if v >= lvl})
+              for lvl, nxt in zip(levels, levels[1:] + [Fraction(0)])]
+    return pieces + [(1 - levels[0], set())]
+
+
+def martingale_defect(group: Group, mu: StepDistribution, W) -> Fraction:
+    """sum_i len_i |A_i| - |W| over one mu-step; exactly zero for every
+    valid decomposition."""
+    if not W:
+        raise ValueError("empty current set")
+    pieces = step_pieces(group, mu, W, MuStep())
+    return sum((l * len(a) for l, a in pieces), Fraction(0)) - len(W)
 
 
 def psi(group: Group, mu: StepDistribution, W) -> float:
     """One minus the expected root of the relative size after one mu-step.
 
-    Exact integration over the threshold pieces: the uniform variable lands
-    in piece i with probability equal to its length, producing the piece's
-    set; above the top level the set is empty and contributes zero.
+    Exact integration over ``step_pieces``: the uniform variable lands in
+    piece i with probability equal to its length, producing the piece's
+    set; the empty tail contributes zero.
     """
     if not W:
         raise ValueError("empty current set")
-    pieces = threshold_pieces(group, mu, W)
+    pieces = step_pieces(group, mu, W, MuStep())
     total = sum(float(l) * math.sqrt(len(a)) for l, a in pieces)
     return 1.0 - total / math.sqrt(len(W))
 
@@ -341,34 +322,6 @@ def compose_matrices(seq: KernelSeq, elements: list, k: int,
     return m
 
 
-def transition_via_evolving_sets(seq: KernelSeq, x, y, l: int, trials: int,
-                                 rng_seed, k: int = 0) -> Estimate:
-    """Estimate the k-to-l transition probability from x to y as the chance
-    that y belongs to the evolving set started at {x}.
-
-    Fresh uniform thresholds drive each step; trials use derived streams in
-    fixed-size chunks so the estimate is reproducible under any scheduling.
-    """
-    g, mu = seq.group, seq.mu
-    ky = g.canonical_key(y)
-
-    def worker(ci, m):
-        rng = rngmod.as_generator(rng_seed, 71, ci)
-        hits = 0
-        for _ in range(m):
-            w = {x}
-            for j in range(k + 1, l + 1):
-                w = evolve_step(g, mu, w, seq.kernel(j), rng.random())
-                if not w:
-                    break
-            if any(g.canonical_key(z) == ky for z in w):
-                hits += 1
-        return hits
-
-    return binomial_estimate(sum(_chunk_map(worker, trials, 1 << 12, 1)),
-                             trials)
-
-
 def set_tree(seq: KernelSeq, start, k: int, l: int) -> list:
     """Exact law of the evolving set after steps k+1..l from a start set.
 
@@ -389,13 +342,17 @@ def set_tree(seq: KernelSeq, start, k: int, l: int) -> list:
 
 
 def mask_tables(seq: KernelSeq, elements: list) -> list:
-    """Per-step ``(cums, succs)`` tables over subset bitmasks of a tiny
-    group, the input of ``fastpaths.masked_set_walk``.
+    """Per-step ``(cums, succs)`` tables over subset bitmasks of a group
+    of at most ``MAX_SET_POINTS`` elements, the input of
+    ``fastpaths.masked_set_walk``.
 
     Bit i of a mask stands for ``elements[i]``.  For each mask, ``cums``
     are the cumulative float lengths of its ``step_pieces``, the last set to
     exactly 1.0, and ``succs`` the masks of the pieces' sets.
     """
+    if len(elements) > MAX_SET_POINTS:
+        raise ValueError(f"mask tables over {len(elements)} points exceed "
+                         f"{MAX_SET_POINTS}")
     g = seq.group
     bit = {g.canonical_key(x): 1 << i for i, x in enumerate(elements)}
     subsets = [{x for i, x in enumerate(elements) if mask >> i & 1}

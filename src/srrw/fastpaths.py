@@ -487,15 +487,24 @@ def s3z_target_hits(alpha: float, atoms, weights, checkpoints, target,
                                 trials, seed, threads, 40, 1 << 16, replay))
 
 
+# Most points a set chain may range over: 2^16 masks per table and per
+# final histogram.
+MAX_SET_POINTS = 16
+
+
 def masked_set_walk(step_tables, start_mask: int, n_states: int, trials: int,
                     seed: int, threads: int = 1) -> np.ndarray:
     """Final-set counts for an evolving-set chain on a small state space.
 
-    Sets are bitmasks over at most 16 points.  ``step_tables[j]`` maps each
-    mask to (cumulative piece lengths, successor masks): one uniform draw per
-    step picks the successor by cumulative threshold, which is exactly the
-    level-set dynamics.  Returns counts over final masks.
+    Sets are bitmasks over at most ``MAX_SET_POINTS`` points.
+    ``step_tables[j]`` maps each mask to (cumulative piece lengths,
+    successor masks): one uniform draw per step picks the successor by
+    cumulative threshold, which is exactly the level-set dynamics.  Returns
+    counts over final masks.
     """
+    if n_states > MAX_SET_POINTS:
+        raise ValueError(f"a set chain over {n_states} points exceeds "
+                         f"{MAX_SET_POINTS}")
     n_masks = 1 << n_states
 
     def worker(ci: int, m: int) -> np.ndarray:

@@ -4,7 +4,7 @@ Every walk in this package takes values in one of the groups below.  Elements
 are plain hashable Python values in a canonical form unique per group element,
 so ``==`` on values is group equality and histograms can key on them directly:
 
-* ``CycleZL(L)``     -- residue in ``[0, L)``; ``Z2`` is the cycle of order 2
+* ``CycleZL(L)``     -- residue in ``[0, L)``; ``z2`` is ``CycleZL(2)``
 * ``IntegerLatticeZd(d)`` -- tuple of ints
 * ``EuclideanRd(d)`` -- tuple of floats (compared through binning only)
 * ``RegularTreeFree(d)``  -- reduced word over d involutive letters; the
@@ -127,15 +127,6 @@ class CycleZL(Group):
     @property
     def is_abelian(self):
         return True
-
-
-class Z2(CycleZL):
-    """The two-element group: the cycle of order 2."""
-
-    variant = "Z2"
-
-    def __init__(self):
-        CycleZL.__init__(self, 2)
 
 
 class IntegerLatticeZd(Group):
@@ -462,15 +453,16 @@ class S3xZ(Group):
         return a
 
 
-_SIMPLE = {"z2": Z2, "lamplighter": LamplighterZ, "s3z": S3xZ}
+_SIMPLE = {"z2": lambda: CycleZL(2), "lamplighter": LamplighterZ,
+           "s3z": S3xZ}
 
 
 def group_from_literal(text: str) -> Group:
     """Build a group from a config literal.
 
     Accepted forms: ``z2``, ``cycle:L``, ``lattice:d``, ``rd:d`` (optionally
-    ``rd:d:bin_width``), ``tree:d``, ``lamplighter``, ``s3z``; ``cycle:2``
-    is ``Z2``.
+    ``rd:d:bin_width``), ``tree:d``, ``lamplighter``, ``s3z``; ``z2`` is
+    ``cycle:2``.
     """
     parts = text.strip().lower().split(":")
     head, args = parts[0], parts[1:]
@@ -479,8 +471,7 @@ def group_from_literal(text: str) -> Group:
             raise ValueError(f"{head} takes no parameters: {text!r}")
         return _SIMPLE[head]()
     if head == "cycle":
-        L = int(args[0])
-        return Z2() if L == 2 else CycleZL(L)
+        return CycleZL(int(args[0]))
     if head == "lattice":
         return IntegerLatticeZd(int(args[0]))
     if head == "tree":

@@ -9,7 +9,9 @@ byte-level comparison across thread counts a meaningful test.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 
 VERSION = "0.1.0"
@@ -32,46 +34,41 @@ def config_hash(mapping: dict) -> str:
 
 
 def csv_bytes(meta: dict, columns, rows) -> bytes:
-    """Render a CSV artifact: '#' metadata lines, header, data rows."""
-    out = []
+    """Render a CSV artifact: '#' metadata lines, then the header and data
+    rows through the csv module, which quotes a cell holding a comma or a
+    quote."""
+    out = io.StringIO()
     for k in sorted(meta):
-        out.append(f"# {k}: {meta[k]}")
-    out.append(",".join(columns))
-    for row in rows:
-        out.append(",".join(format_value(v) for v in row))
-    return ("\n".join(out) + "\n").encode()
+        out.write(f"# {k}: {meta[k]}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([format_value(v) for v in row] for row in rows)
+    return out.getvalue().encode()
+
+
+def _typed(cell: str):
+    if cell in ("true", "false"):
+        return cell == "true"
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return cell
 
 
 def parse_csv(data: bytes):
     """Invert csv_bytes: (meta, columns, rows) with typed cells."""
-    meta, columns, rows = {}, None, []
+    meta, body = {}, []
     for line in data.decode().splitlines():
-        if not line:
-            continue
         if line.startswith("#"):
             k, _, v = line[1:].partition(":")
             meta[k.strip()] = v.strip()
-            continue
-        cells = line.split(",")
-        if columns is None:
-            columns = cells
-            continue
-        typed = []
-        for c in cells:
-            if c == "true":
-                typed.append(True)
-            elif c == "false":
-                typed.append(False)
-            else:
-                try:
-                    typed.append(int(c))
-                except ValueError:
-                    try:
-                        typed.append(float(c))
-                    except ValueError:
-                        typed.append(c)
-        rows.append(tuple(typed))
-    return meta, columns, rows
+        elif line:
+            body.append(line)
+    table = list(csv.reader(body))
+    columns = table[0] if table else None
+    return meta, columns, [tuple(_typed(c) for c in r) for r in table[1:]]
 
 
 def json_bytes(payload: dict) -> bytes:

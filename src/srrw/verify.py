@@ -23,13 +23,13 @@ import numpy as np
 from . import estimators, fastpaths
 from . import rng as rngmod
 from .elephant import (cycle_distribution, decay_bound_sweep, lambda_bounds_check,
-                       lambda_table)
+                       lambda_table, z2_return_gap_bounds)
 from .evolving import (DeterministicStep, MuStep, compose_matrices,
                        enumerate_group, iso_profile, kernel_seq_from_forest,
                        martingale_defect, mask_tables, psi_profile, set_tree)
 from .forest import assign_and_assemble, grow, isolated_counts_batch
 from .groups import (CycleZL, IntegerLatticeZd, LamplighterZ, S3xZ,
-                     StepDistribution, Z2)
+                     StepDistribution)
 from .oracle import exact_distribution, exact_isolated_distribution, tv_distance
 from .sampler import SrrwConfig, erw_config
 
@@ -71,11 +71,9 @@ def suite_z2_sandwich(seed: int = DEFAULT_SEED, threads: int = 1):
     checked = 0
     for alpha in _ALPHA_GRID:
         table = lambda_table(alpha, 200)
-        la = math.log(alpha)
         for n in range(1, 101):
             lv = table.log_value(2 * n, n)
-            lower = n * la - 2 * (1 - alpha) * n / (3 + alpha)
-            upper = n * la
+            lower, upper = z2_return_gap_bounds(alpha, 2 * n)
             worst = min(worst, lv - lower, upper - lv)
             if lv < lower - tol or lv > upper + tol:
                 violations += 1
@@ -91,7 +89,7 @@ def suite_z2_sandwich(seed: int = DEFAULT_SEED, threads: int = 1):
 
 def suite_oracle_agreement(seed: int = DEFAULT_SEED, threads: int = 1):
     """Exact enumeration against the polynomial apparatus."""
-    g2 = Z2()
+    g2 = CycleZL(2)
     mu2 = StepDistribution.lazy(g2)
     worst_gap = 0.0
     for alpha in _ALPHA_GRID:
@@ -133,8 +131,8 @@ def suite_sampler_triangle(seed: int = DEFAULT_SEED, threads: int = 1):
     """Sequential sampler, forest sampler, and oracle agree in law."""
     results = []
     trials = 10 ** 6
-    c3 = CycleZL(3)
-    for g, mu in ((Z2(), StepDistribution.lazy(Z2())),
+    c2, c3 = CycleZL(2), CycleZL(3)
+    for g, mu in ((c2, StepDistribution.lazy(c2)),
                   (c3, StepDistribution.uniform(c3.generators()))):
         cfg = SrrwConfig(group=g, alpha=0.5, mu=mu)
         dist = exact_distribution(cfg, 6)

@@ -7,7 +7,7 @@ import pytest
 
 from srrw.cli import CliError, main, mu_from_cli, render_bytes
 from srrw.elephant import cycle_distribution, eval_stable, z2_return_gap
-from srrw.groups import CycleZL, EuclideanRd, Z2, group_from_literal
+from srrw.groups import CycleZL, EuclideanRd, group_from_literal
 from srrw.reports import VERSION, parse_csv
 
 
@@ -54,6 +54,20 @@ def test_exact_artifact_matches_known_value():
     assert math.isclose(sum(by_key.values()), 1.0, abs_tol=1e-12)
     gap = z2_return_gap(0.5, 4)
     assert math.isclose(max(by_key.values()), (1 + gap) / 2, abs_tol=1e-12)
+
+
+def test_exact_artifact_quotes_keys_with_commas():
+    # lattice keys such as (-1,-1) hold commas; each row still parses to
+    # two cells whose key is an element again
+    g = group_from_literal("lattice:2")
+    data = render_bytes(["exact", "--group", "lattice:2", "--alpha", "0.5",
+                         "--mu", "lazy", "--n", "2"])
+    _, columns, rows = parse_csv(data)
+    assert columns == ["key", "probability"]
+    assert all(len(r) == 2 for r in rows)
+    keys = [g.parse_element(r[0]) for r in rows]
+    assert len(set(keys)) == len(rows)
+    assert math.isclose(sum(r[1] for r in rows), 1.0, abs_tol=1e-12)
 
 
 def test_poly_lambda_rows():
@@ -195,6 +209,11 @@ def test_main_writes_out_file_and_exit_codes(tmp_path, capsys):
                  "--target", "e"]) == 2
     assert "error:" in capsys.readouterr().err
 
+    # status 1 means a failed verify criterion; a failed write is 2
+    missing = tmp_path / "missing" / "x.csv"
+    assert main(argv[:-1] + [str(missing)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
 
 def test_refused_simulate_inputs_exit_with_an_error(capsys):
     # both are refused before any simulation runs
@@ -290,7 +309,7 @@ def test_mu_literals():
     assert dict(lazy.support)[0] == 0.5
     pm1 = mu_from_cli("pm1", g)
     assert dict(pm1.support) == {1: 0.5, 5: 0.5}
-    assert dict(mu_from_cli("pm1", Z2()).support) == {1: 1.0}
+    assert dict(mu_from_cli("pm1", CycleZL(2)).support) == {1: 1.0}
     lst = mu_from_cli('[["1", 0.25], ["5", 0.75]]', g)
     assert dict(lst.support) == {1: 0.25, 5: 0.75}
     gauss = mu_from_cli("gaussian", EuclideanRd(2))

@@ -13,7 +13,7 @@ from srrw.elephant import (basis_eval, cycle_distribution, decay_bound_check,
                            lambda_bounds_check, lambda_rows,
                            lambda_table, poly_sequence, signed_position_law,
                            z2_return_gap, z2_return_gap_bounds)
-from srrw.groups import StepDistribution, Z2, CycleZL
+from srrw.groups import StepDistribution, CycleZL
 from srrw.oracle import exact_distribution
 from srrw.sampler import SrrwConfig
 
@@ -136,7 +136,7 @@ def test_z2_return_gap():
                         rel_tol=1e-12)
     mu = StepDistribution(support=[(0, 0.5), (1, 0.5)])
     for m in (1, 2, 3, 4):
-        cfg = SrrwConfig(group=Z2(), alpha=alpha, mu=mu)
+        cfg = SrrwConfig(group=CycleZL(2), alpha=alpha, mu=mu)
         dist = exact_distribution(cfg, 2 * m)
         assert math.isclose(z2_return_gap(alpha, 2 * m),
                             2 * dist.prob(0) - 1, abs_tol=1e-12)

@@ -10,7 +10,7 @@ from srrw.estimators import (ball_curve, isolated_tail_check, mc_escape_rate,
                              mc_histogram, mc_point_mass, point_mass_curve,
                              rate_fit)
 from srrw.groups import (CycleZL, EuclideanRd, IntegerLatticeZd, LamplighterZ,
-                         RegularTreeFree, StepDistribution, Z2)
+                         RegularTreeFree, StepDistribution)
 from srrw.oracle import exact_distribution
 from srrw.sampler import (ErwRotation, HistoryDependent, Identity, IidSign,
                           Negation, SrrwConfig, erw_config,
@@ -237,7 +237,7 @@ def test_engine_serves_each_matching_config(monkeypatch):
         assert ball_curve(cfg, ns, 1.5, trials, seed) == curve(
             fastpaths.lattice_ball_hits(np.array(atoms), weights, 0.5, ns,
                                         1.5, trials, seed, replay=replay))
-    for cyc in (_lazy(CycleZL(5)), _lazy(Z2())):
+    for cyc in (_lazy(CycleZL(5)), _lazy(CycleZL(2))):
         atoms, weights = _law(cyc)
         for via_forest in (False, True):
             counts = fastpaths.cyclic_histogram(

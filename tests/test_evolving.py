@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srrw import evolving
 from srrw.evolving import (DeterministicStep, KernelSeq, MuStep, bottleneck,
                            compose_matrices, connected_sets, doob_step,
-                           enumerate_group, evolve_step, iso_profile,
-                           kernel_matrix, kernel_seq_from_forest,
-                           martingale_defect, mask_tables, mass_profile, psi,
-                           psi_profile, set_tree, step_pieces,
-                           threshold_pieces,
-                           transition_via_evolving_sets)
+                           enumerate_group, iso_profile, kernel_matrix,
+                           kernel_seq_from_forest, martingale_defect,
+                           mask_tables, mass_profile, psi, psi_profile,
+                           set_tree, step_pieces)
 from srrw.forest import PercolatedForest
 from srrw.groups import CycleZL, IntegerLatticeZd, StepDistribution
 from srrw.sampler import SrrwConfig, WalkTrace
@@ -28,18 +27,6 @@ LAZY = StepDistribution(support=[((0,), 0.5), ((1,), 0.25), ((-1,), 0.25)])
 def lazy_on(L):
     return CycleZL(L), StepDistribution(support=[(0, 0.5), (1, 0.25),
                                                  (L - 1, 0.25)])
-
-
-def test_threshold_pieces_lazy_singleton():
-    pieces = threshold_pieces(Z, LAZY, {(0,)})
-    assert pieces == [
-        (Fraction(1, 4), {(0,)}),
-        (Fraction(1, 4), {(-1,), (0,), (1,)}),
-    ]
-    # the thresholded step realises those pieces and the empty tail
-    assert evolve_step(Z, LAZY, {(0,)}, MuStep(), 0.25) == {(-1,), (0,), (1,)}
-    assert evolve_step(Z, LAZY, {(0,)}, MuStep(), 0.3) == {(0,)}
-    assert evolve_step(Z, LAZY, {(0,)}, MuStep(), 0.6) == set()
 
 
 def test_mass_profile_values():
@@ -56,6 +43,8 @@ def test_psi_singleton_value():
                         abs_tol=1e-15)
     with pytest.raises(ValueError):
         psi(Z, LAZY, set())
+    with pytest.raises(ValueError):
+        martingale_defect(Z, LAZY, set())
 
 
 def test_martingale_defect_dyadic_exact_zero():
@@ -161,15 +150,9 @@ def test_psi_dominates_squared_bottleneck():
             assert ps >= factor * ph ** 2 - 1e-12
 
 
-def test_evolve_step_deterministic_translates():
-    g, _ = lazy_on(6)
-    out = evolve_step(g, None, {0, 1}, DeterministicStep(2), 0.9)
-    assert out == {2, 3}
-
-
 def test_doob_step_never_empty_and_frequencies():
-    pieces = threshold_pieces(Z, LAZY, {(0,)})
-    weights = [float(l) * len(a) / 1 for l, a in pieces]
+    pieces = step_pieces(Z, LAZY, {(0,)}, MuStep())
+    weights = [float(l) * len(a) for l, a in pieces if a]
     assert math.isclose(sum(weights), 1.0, abs_tol=1e-15)
     counts = {1: 0, 3: 0}
     trials = 4000
@@ -238,11 +221,18 @@ def test_set_tree_matches_kernel_power_exactly():
 
 
 def test_step_pieces_cover_the_unit_interval():
+    # one piece per mass level, highest first, then the empty set above
+    # the top level
+    assert step_pieces(Z, LAZY, {(0,)}, MuStep()) == [
+        (Fraction(1, 4), {(0,)}),
+        (Fraction(1, 4), {(-1,), (0,), (1,)}),
+        (Fraction(1, 2), set()),
+    ]
     g, mu = lazy_on(5)
-    mixed = step_pieces(g, mu, {0}, MuStep())
-    assert mixed == threshold_pieces(g, mu, {0}) + [(Fraction(1, 2), set())]
+    # a translation moves the whole set whatever the uniform
     assert step_pieces(g, mu, {0, 1}, DeterministicStep(3)) == [
         (1, {3, 4})]
+    assert step_pieces(g, None, {4}, DeterministicStep(2)) == [(1, {1})]
     assert step_pieces(g, mu, set(), MuStep()) == [(1, set())]
     # a full group keeps all its mass: the empty piece has length 0
     assert step_pieces(g, mu, set(range(5)), MuStep())[-1] == (0, set())
@@ -271,12 +261,13 @@ def test_mask_tables_law_equals_set_tree():
             assert law == exact, (start, ell)
 
 
-def test_transition_estimator_agrees_and_reproduces():
-    g, mu = lazy_on(4)
-    elems = sorted(enumerate_group(g))
-    seq = KernelSeq(group=g, mu=mu, tags=[MuStep()] * 3)
-    exact = compose_matrices(seq, elems, 0, 3)[0, 1]
-    est = transition_via_evolving_sets(seq, 0, 1, 3, 20000, 4242)
-    assert abs(est.value - exact) < 4 * est.stderr + 1e-9
-    again = transition_via_evolving_sets(seq, 0, 1, 3, 20000, 4242)
-    assert est.value == again.value
+def test_mask_tables_refuse_more_than_sixteen_points(monkeypatch):
+    # refused before any step is tabulated: 2^17 subsets are never built
+    def no_pieces(*args):
+        raise AssertionError("a step was tabulated")
+
+    monkeypatch.setattr(evolving, "step_pieces", no_pieces)
+    g, mu = lazy_on(17)
+    seq = KernelSeq(group=g, mu=mu, tags=[MuStep()])
+    with pytest.raises(ValueError, match="17 points"):
+        mask_tables(seq, sorted(enumerate_group(g)))

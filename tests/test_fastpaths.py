@@ -12,9 +12,10 @@ from srrw import estimators, fastpaths, verify
 from srrw import rng as rngmod
 from srrw.estimators import (ball_curve, mc_escape_rate, mc_histogram,
                              mc_point_mass, point_mass_curve)
+from srrw.evolving import DeterministicStep, KernelSeq, MuStep, mask_tables
 from srrw.fastpaths import _chunk_map, _chunks
 from srrw.groups import (CycleZL, EuclideanRd, IntegerLatticeZd, LamplighterZ,
-                         RegularTreeFree, S3xZ, StepDistribution, Z2)
+                         RegularTreeFree, S3xZ, StepDistribution)
 from srrw.oracle import exact_distribution, tv_distance
 from srrw.sampler import (EchoLawLinear, HistoryDependent, IidSign,
                           Negation, SrrwConfig, erw_config)
@@ -106,7 +107,7 @@ def test_cyclic_histogram_engine_vs_exact():
         hist = mc_histogram(cfg, 7, 50000, SEED, via_forest=via_forest)
         assert sum(hist.values()) == 50000
         assert tv_distance(hist, dist) < 0.012
-    z2 = SrrwConfig(group=Z2(), alpha=0.5,
+    z2 = SrrwConfig(group=CycleZL(2), alpha=0.5,
                     mu=StepDistribution(support=[(0, 0.5), (1, 0.5)]))
     hist = mc_histogram(z2, 4, 60000, SEED)
     p = hist[0] / 60000
@@ -237,6 +238,8 @@ def test_thread_count_never_changes_results():
     neg = SrrwConfig(group=IntegerLatticeZd(1), alpha=0.5,
                      mu=StepDistribution.uniform([(1,), (-1,)]),
                      transform=Negation())
+    sets = mask_tables(KernelSeq(group=cyc.group, mu=cyc.mu, tags=[
+        MuStep(), DeterministicStep(1), MuStep()]), list(range(5)))
     # the added runs span at least two chunks of their engine
     runs = [
         lambda th: mc_point_mass(lat, 12, (0, 0), 9000, SEED, threads=th),
@@ -257,6 +260,8 @@ def test_thread_count_never_changes_results():
                                     threads=th),
         lambda th: point_mass_curve(neg, [4, 8], (0,), 70000, SEED,
                                     threads=th),
+        lambda th: fastpaths.masked_set_walk(sets, 1, 5, 70000, SEED,
+                                             threads=th).tolist(),
     ]
     for run in runs:
         ref = run(1)
@@ -347,6 +352,16 @@ def test_engines_refuse_sizes_below_one(monkeypatch, engine):
             continue
         with pytest.raises(ValueError, match=reason):
             _sized_calls(n, trials)[engine](1)
+
+
+def test_masked_set_walk_refuses_more_than_sixteen_points(monkeypatch):
+    # refused before any stream is opened or a 2^17 histogram allocated
+    def no_stream(*key):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(rngmod, "stream", no_stream)
+    with pytest.raises(ValueError, match="17 points"):
+        fastpaths.masked_set_walk([], 1, 17, 10, SEED)
 
 
 def test_every_engine_draws_one_uniform_per_step(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from srrw.forest import (PercolatedForest, all_clusters_even_probability,
                          assign_and_assemble, clusters, grow,
                          isolated_counts_batch)
-from srrw.groups import StepDistribution, Z2
+from srrw.groups import CycleZL, StepDistribution
 from srrw.rng import stream
 from srrw.sampler import Identity, SrrwConfig
 
@@ -94,7 +94,7 @@ def test_worked_seven_vertex_example():
 
 
 def test_assemble_positions_consistent():
-    g = Z2()
+    g = CycleZL(2)
     cfg = SrrwConfig(group=g, alpha=0.5,
                      mu=StepDistribution(support=[(0, 0.5), (1, 0.5)]),
                      transform=Identity())
@@ -107,7 +107,7 @@ def test_assemble_positions_consistent():
 
 def test_assemble_identity_abelian_is_cluster_weighted_sum():
     # with identity transforms every vertex in a cluster carries the root draw
-    g = Z2()
+    g = CycleZL(2)
     cfg = SrrwConfig(group=g, alpha=0.5,
                      mu=StepDistribution(support=[(0, 0.5), (1, 0.5)]))
     for t in range(30):

@@ -13,7 +13,6 @@ from srrw.groups import (
     RegularTreeFree,
     S3xZ,
     StepDistribution,
-    Z2,
     bfs_ball,
     group_from_literal,
     is_class_function,
@@ -29,8 +28,6 @@ def random_element(group, rng):
     EuclideanRd coordinates are drawn as half-integers so that float addition
     is exact and the associativity check is not at the mercy of rounding.
     """
-    if isinstance(group, Z2):
-        return int(rng.integers(0, 2))
     if isinstance(group, CycleZL):
         return int(rng.integers(0, group.L))
     if isinstance(group, IntegerLatticeZd):
@@ -52,8 +49,13 @@ def random_element(group, rng):
     raise AssertionError(group)
 
 
+def group_id(group):
+    """The test id: the variant name, ``Z2`` for the cycle of order 2."""
+    return "Z2" if group == CycleZL(2) else group.variant
+
+
 VARIANTS = [
-    Z2(),
+    CycleZL(2),
     CycleZL(6),
     IntegerLatticeZd(3),
     EuclideanRd(2),
@@ -63,7 +65,7 @@ VARIANTS = [
 ]
 
 
-@pytest.mark.parametrize("group", VARIANTS, ids=lambda g: g.variant)
+@pytest.mark.parametrize("group", VARIANTS, ids=group_id)
 def test_group_axioms(group):
     rng = stream(11, 1)
     e = group.identity()
@@ -80,7 +82,7 @@ def test_group_axioms(group):
         assert group.canonical_key(group.multiply(a, group.inverse(a))) == ek
 
 
-@pytest.mark.parametrize("group", VARIANTS, ids=lambda g: g.variant)
+@pytest.mark.parametrize("group", VARIANTS, ids=group_id)
 def test_check_element_accepts_products(group):
     rng = stream(11, 2)
     for _ in range(200):
@@ -90,11 +92,11 @@ def test_check_element_accepts_products(group):
         group.check_element(group.inverse(a))
 
 
-DISTANCE_GROUPS = [Z2(), CycleZL(7), IntegerLatticeZd(2),
+DISTANCE_GROUPS = [CycleZL(2), CycleZL(7), IntegerLatticeZd(2),
                    RegularTreeFree(3), LamplighterZ(), S3xZ()]
 
 
-@pytest.mark.parametrize("group", DISTANCE_GROUPS, ids=lambda g: g.variant)
+@pytest.mark.parametrize("group", DISTANCE_GROUPS, ids=group_id)
 def test_word_distance_triangle_and_symmetry(group):
     rng = stream(11, 3)
     for _ in range(2000):
@@ -155,7 +157,7 @@ def test_free_word_parse_redundant_inverse_marker():
         g.parse_element("ax?")
 
 
-@pytest.mark.parametrize("group", VARIANTS, ids=lambda g: g.variant)
+@pytest.mark.parametrize("group", VARIANTS, ids=group_id)
 def test_parse_format_round_trip(group):
     rng = stream(11, 5)
     for _ in range(100):
@@ -164,21 +166,20 @@ def test_parse_format_round_trip(group):
         assert group.canonical_key(back) == group.canonical_key(a)
 
 
-@pytest.mark.parametrize("group", VARIANTS, ids=lambda g: g.variant)
+@pytest.mark.parametrize("group", VARIANTS, ids=group_id)
 def test_identity_parses_as_e(group):
     a = group.parse_element("e")
     assert group.canonical_key(a) == group.canonical_key(group.identity())
 
 
 def test_group_literal_round_trip():
-    for text, group in [("z2", Z2()), ("cycle:5", CycleZL(5)),
+    for text, group in [("z2", CycleZL(2)), ("cycle:2", CycleZL(2)),
+                        ("cycle:5", CycleZL(5)),
                         ("lattice:3", IntegerLatticeZd(3)),
                         ("rd:2:0.5", EuclideanRd(2, bin_width=0.5)),
                         ("rd:3", EuclideanRd(3)), ("tree:4", RegularTreeFree(4)),
                         ("lamplighter", LamplighterZ()), ("s3z", S3xZ())]:
         assert group_from_literal(text) == group
-    # order-2 cycles share the Z2 step conventions and route there
-    assert isinstance(group_from_literal("cycle:2"), Z2)
     with pytest.raises(ValueError):
         group_from_literal("dihedral:4")
     with pytest.raises(ValueError):
@@ -226,7 +227,7 @@ def test_step_distribution_masses():
 
 def test_lazy_step_law():
     # atom order is part of the law: the engines index atoms in this order
-    assert StepDistribution.lazy(Z2()).support == [(0, 0.5), (1, 0.5)]
+    assert StepDistribution.lazy(CycleZL(2)).support == [(0, 0.5), (1, 0.5)]
     assert StepDistribution.lazy(CycleZL(6)).support == [
         (0, 0.5), (1, 0.25), (5, 0.25)]
     assert StepDistribution.lazy(IntegerLatticeZd(2)).support == [
@@ -298,7 +299,7 @@ def test_euclidean_binning():
 
 def test_fraction_weights_validate():
     # exact rational weights are accepted as-is; several modules rely on it
-    g = Z2()
+    g = CycleZL(2)
     mu = StepDistribution(support=[(0, Fraction(1, 3)), (1, Fraction(2, 3))])
     mu.validate(g)
     assert mu.lazy_mass(g) == Fraction(1, 3)
@@ -306,11 +307,8 @@ def test_fraction_weights_validate():
 
 def test_cycle_of_order_two_is_z2():
     # one generator at L = 2, so the lazy law has no duplicate atom
-    assert CycleZL(2).generators() == [1]
-    assert (StepDistribution.lazy(CycleZL(2)).support
-            == StepDistribution.lazy(Z2()).support)
-    g = Z2()
-    assert isinstance(g, CycleZL) and g.L == 2 and g.variant == "Z2"
+    g = CycleZL(2)
+    assert g.generators() == [1]
     assert g.parse_element("+1") == g.parse_element("-1") == 1
     with pytest.raises(ValueError):
         g.check_element(1.0)

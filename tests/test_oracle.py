@@ -9,7 +9,7 @@ import pytest
 
 from srrw.elephant import lambda_table, signed_position_law
 from srrw.groups import (CycleZL, IntegerLatticeZd, RegularTreeFree,
-                         StepDistribution, Z2)
+                         StepDistribution)
 from srrw.oracle import (exact_distribution, exact_isolated_distribution,
                          iid_convolution, isolated_distribution_bruteforce,
                          tv_distance)
@@ -33,7 +33,7 @@ def test_routes_agree_on_abelian_groups():
     # but it forces the generic branching enumeration; in Fractions the
     # type-count urn and the tree give the same masses exactly
     for g, mu in [
-        (Z2(), Z2_MU),
+        (CycleZL(2), Z2_MU),
         (CycleZL(4), StepDistribution(support=[(1, 0.3), (3, 0.7)])),
         (IntegerLatticeZd(2),
          StepDistribution(support=[((1, 0), 0.25), ((-1, 0), 0.25),
@@ -67,8 +67,8 @@ def test_urn_matches_the_memory_walk_on_z():
 
 def test_negation_on_z2_equals_identity_route():
     # x = -x in Z2, so the negating walk has the identity walk's law
-    cfg = SrrwConfig(group=Z2(), alpha=0.6, mu=Z2_MU, transform=Negation())
-    ref = SrrwConfig(group=Z2(), alpha=0.6, mu=Z2_MU)
+    cfg = SrrwConfig(group=CycleZL(2), alpha=0.6, mu=Z2_MU, transform=Negation())
+    ref = SrrwConfig(group=CycleZL(2), alpha=0.6, mu=Z2_MU)
     for n in (2, 5, 8):
         a = exact_distribution(cfg, n)
         b = exact_distribution(ref, n)
@@ -88,7 +88,7 @@ def test_alpha_zero_is_iid_even_for_dfs():
 
 
 def test_exact_fractions_certify():
-    cfg = SrrwConfig(group=Z2(), alpha=0.5, mu=Z2_MU)
+    cfg = SrrwConfig(group=CycleZL(2), alpha=0.5, mu=Z2_MU)
     dist = exact_distribution(cfg, 6, exact=True)
     assert all(isinstance(p, Fraction) for p in dist.mass.values())
     assert sum(dist.mass.values()) == 1
@@ -96,17 +96,17 @@ def test_exact_fractions_certify():
     for k, p in dist.mass.items():
         assert math.isclose(float(p), f.prob(k), abs_tol=1e-15)
 
-    cfg2 = SrrwConfig(group=Z2(), alpha=0.5, mu=Z2_MU, transform=IidSign(1.0))
+    cfg2 = SrrwConfig(group=CycleZL(2), alpha=0.5, mu=Z2_MU, transform=IidSign(1.0))
     dist2 = exact_distribution(cfg2, 5, exact=True)
     assert sum(dist2.mass.values()) == 1
 
 
 def test_known_return_probabilities():
     for alpha in (0.2, 0.5, 0.9):
-        cfg = SrrwConfig(group=Z2(), alpha=alpha, mu=Z2_MU)
+        cfg = SrrwConfig(group=CycleZL(2), alpha=alpha, mu=Z2_MU)
         assert math.isclose(exact_distribution(cfg, 2).prob(0),
                             (1 + alpha) / 2, abs_tol=1e-14)
-    cfg = SrrwConfig(group=Z2(), alpha=0.5, mu=Z2_MU)
+    cfg = SrrwConfig(group=CycleZL(2), alpha=0.5, mu=Z2_MU)
     lam = lambda_table(0.5, 4).value(4, 2)
     assert math.isclose(exact_distribution(cfg, 4).prob(0), (1 + lam) / 2,
                         abs_tol=1e-13)
@@ -144,7 +144,7 @@ def test_bruteforce_cap():
 
 
 def test_dfs_cap_and_validation():
-    cfg = SrrwConfig(group=Z2(), alpha=0.5, mu=Z2_MU, transform=IidSign(1.0))
+    cfg = SrrwConfig(group=CycleZL(2), alpha=0.5, mu=Z2_MU, transform=IidSign(1.0))
     with pytest.raises(ValueError, match="capped"):
         exact_distribution(cfg, 9)
     with pytest.raises(ValueError, match="capped"):
@@ -155,14 +155,14 @@ def test_dfs_cap_and_validation():
     def law(j, history, rng):
         return rng.choice(len(history))
 
-    rnd = SrrwConfig(group=Z2(), alpha=0.5, mu=Z2_MU,
+    rnd = SrrwConfig(group=CycleZL(2), alpha=0.5, mu=Z2_MU,
                      transform=HistoryDependent(law, deterministic=False))
     with pytest.raises(ValueError, match="enumerable"):
         exact_distribution(rnd, 3)
 
 
 def test_tv_distance():
-    cfg = SrrwConfig(group=Z2(), alpha=0.5, mu=Z2_MU)
+    cfg = SrrwConfig(group=CycleZL(2), alpha=0.5, mu=Z2_MU)
     dist = exact_distribution(cfg, 4)
     as_counts = {k: round(p * 1_000_000) for k, p in dist.mass.items()}
     assert tv_distance(as_counts, dist) < 1e-6

@@ -28,9 +28,10 @@ def test_config_hash_stable_and_order_free():
 
 def test_csv_round_trip_exact():
     meta = {"seed": "1729", "version": "0.1.0"}
-    columns = ["n", "value", "ok"]
-    rows = [(4, 0.604166666666666, True), (8, 1e-17, False),
-            (16, -0.0, True)]
+    columns = ["n", "value", "ok", "key"]
+    rows = [(4, 0.604166666666666, True, "e"),
+            (8, 1e-17, False, "(-1,-1)"),
+            (16, -0.0, True, 'say "a,b"')]
     data = csv_bytes(meta, columns, rows)
     m, c, r = parse_csv(data)
     assert m == meta
@@ -40,6 +41,9 @@ def test_csv_round_trip_exact():
         assert got[0] == want[0]
         assert got[1] == want[1]
         assert got[2] is want[2]
+        assert got[3] == want[3]
+    # a cell holding a comma or a quote is quoted, not split
+    assert b',false,"(-1,-1)"\n' in data
     # integral floats come back as ints (value-equal); the sign of zero
     # is the one thing the text form forgets
     assert r[2][1] == 0 and isinstance(r[2][1], int)

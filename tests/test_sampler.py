@@ -6,7 +6,7 @@ import math
 import pytest
 
 from srrw.groups import (CycleZL, IntegerLatticeZd, RegularTreeFree,
-                         StepDistribution, Z2)
+                         StepDistribution)
 from srrw.oracle import exact_distribution
 from srrw.rng import stream
 from srrw.sampler import (EchoLawLinear, ErwRotation, HistoryDependent,
@@ -57,7 +57,7 @@ def test_alpha_zero_steps_are_iid():
 
 
 def test_alpha_one_identity_replays_first_step():
-    cfg = SrrwConfig(group=Z2(), alpha=1.0,
+    cfg = SrrwConfig(group=CycleZL(2), alpha=1.0,
                      mu=StepDistribution(support=[(0, 0.5), (1, 0.5)]))
     for t in range(50):
         trace = sample_walk(cfg, 6, stream(8, t))
@@ -68,7 +68,7 @@ def test_alpha_one_identity_replays_first_step():
 def test_return_probability_small_case():
     # P(S_2 = e) = (1 + alpha) / 2 on the two-element group
     alpha = 0.5
-    cfg = SrrwConfig(group=Z2(), alpha=alpha,
+    cfg = SrrwConfig(group=CycleZL(2), alpha=alpha,
                      mu=StepDistribution(support=[(0, 0.5), (1, 0.5)]))
     trials = 40_000
     hits = sum(sample_walk(cfg, 2, stream(9, t)).final == 0
