@@ -19,7 +19,6 @@ from .groups import (
     group_from_literal,
     is_class_function,
     bfs_ball,
-    OutOfEnumeratedBallError,
 )
 from .sampler import (
     SrrwConfig,
@@ -104,7 +103,6 @@ __all__ = [
     "Group", "CycleZL", "IntegerLatticeZd", "EuclideanRd", "RegularTreeFree",
     "LamplighterZ", "S3xZ", "StepDistribution",
     "group_from_literal", "is_class_function", "bfs_ball",
-    "OutOfEnumeratedBallError",
     "SrrwConfig", "WalkTrace", "Transform", "Identity", "Negation",
     "IidSign", "EchoLawLinear", "ErwRotation", "HistoryDependent",
     "sample_walk", "erw_config", "draw_step", "next_step_distribution",

@@ -133,9 +133,9 @@ def _run_exact(args) -> bytes:
     ns = _parse_list(args.n, "--n")
     if len(ns) != 1:
         raise CliError("--n: exact takes a single horizon")
-    dist = exact_distribution(cfg, ns[0], n_cap=args.cap)
-    rows = sorted((cfg.group.format_element(dist.rep[k]), p)
-                  for k, p in dist.mass.items())
+    dist = exact_distribution(cfg, ns[0])
+    rows = sorted((cfg.group.format_element(x), p)
+                  for x, p in dist.mass.items())
     meta = _meta(args, ("group", "alpha", "mu", "transform", "n"))
     return reports.csv_bytes(meta, ("key", "probability"), rows)
 
@@ -263,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("exact", help="exact endpoint law by enumeration")
     _add_walk_flags(pe)
     pe.add_argument("--n", required=True)
-    pe.add_argument("--cap", type=int, default=8,
-                    help="horizon cap for path enumeration")
     _add_common(pe)
 
     pp = sub.add_parser("poly", help="coefficient tables and evaluations")

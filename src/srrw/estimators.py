@@ -41,8 +41,7 @@ def _engine(config, query, arg=None):
     that runs.
     """
     group, alpha = config.group, config.alpha
-    at_e = (query == "point" and group.canonical_key(arg)
-            == group.canonical_key(group.identity()))
+    at_e = query == "point" and arg == group.identity()
     tree, lamp = (isinstance(group, RegularTreeFree),
                   isinstance(group, LamplighterZ))
     # the engines' atom orders: the tree's letters; on the lamplighter,
@@ -99,10 +98,17 @@ def point_mass_curve(config: SrrwConfig, n_list, target, trials: int,
     per-horizon estimates share underlying trials; horizons are then
     correlated but each estimate is individually unbiased.
     """
-    key = config.group.canonical_key
-    tkey = key(target)
+    _no_point_masses(config)
     return _curve(config, "point", target, n_list,
-                  lambda pos: key(pos) == tkey, 60, trials, seed, threads)
+                  lambda pos: pos == target, 60, trials, seed, threads)
+
+
+def _no_point_masses(config):
+    """Refuse a point query under a continuous step law, whose point masses
+    are all 0."""
+    if config.mu.is_continuous:
+        raise ValueError("every point mass of a continuous step law is 0; "
+                         "ask for a ball (ball_curve, --ball-r)")
 
 
 def _curve(config, query, arg, n_list, hit, tag, trials, seed, threads):
@@ -158,20 +164,20 @@ def mc_point_mass(config: SrrwConfig, n: int, target, trials: int, seed: int,
 
 def mc_histogram(config: SrrwConfig, n: int, trials: int, seed: int,
                  threads: int = 1, via_forest: bool = False) -> dict:
-    """Empirical endpoint counts {canonical key: hits} after n steps.
+    """Empirical endpoint counts {element: hits} after n steps.
 
     via_forest routes sampling through the percolated forest instead of the
     sequential walk; the two agree in law, which is exactly what the
     distributional tests compare.
     """
+    _no_point_masses(config)
     fastpaths._horizons([n], trials)
     run = _engine(config, "histogram", via_forest)
     if run is not None:
         counts = run(n, trials, seed, threads)
         return {r: int(c) for r, c in enumerate(counts) if c > 0}
-    key = config.group.canonical_key
     return _per_trial(config, n, 61, trials, seed, threads,
-                      lambda trace: {key(trace.final): 1},
+                      lambda trace: {trace.final: 1},
                       via_forest=via_forest)
 
 

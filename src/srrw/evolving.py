@@ -174,7 +174,7 @@ def enumerate_group(group: Group, cap: int = 100_000) -> list:
     while True:
         ball = bfs_ball(group, radius)
         if len(ball) == prev:
-            return [elem for elem, _ in ball.values()]
+            return list(ball)
         if len(ball) > cap:
             raise ValueError(f"group enumeration exceeded cap {cap}")
         prev = len(ball)
@@ -232,9 +232,7 @@ def _candidate_sets(group: Group, mu: StepDistribution, r: int,
     if mu.support is None:
         raise ValueError("profile searches need a finite step law")
     if search_scope == "connected":
-        e = group.identity()
-        moves = [s for s, _ in mu.support
-                 if group.canonical_key(s) != group.canonical_key(e)]
+        moves = [s for s, _ in mu.support if s != group.identity()]
         return connected_sets(group, moves, r), True
     if search_scope == "all":
         from itertools import combinations
@@ -301,15 +299,15 @@ def doob_step(group: Group, mu: StepDistribution, W, kernel, rng_seed):
 def kernel_matrix(seq: KernelSeq, j: int, elements: list) -> np.ndarray:
     """Dense matrix of step j over an enumerated state list (row: from)."""
     g = seq.group
-    index = {g.canonical_key(x): i for i, x in enumerate(elements)}
+    index = {x: i for i, x in enumerate(elements)}
     m = np.zeros((len(elements), len(elements)))
     tag = seq.kernel(j)
     for i, x in enumerate(elements):
         if isinstance(tag, DeterministicStep):
-            m[i, index[g.canonical_key(g.multiply(x, tag.g))]] = 1.0
+            m[i, index[g.multiply(x, tag.g)]] = 1.0
         else:
             for s, w in seq.mu.support:
-                m[i, index[g.canonical_key(g.multiply(x, s))]] += w
+                m[i, index[g.multiply(x, s)]] += w
     return m
 
 
@@ -354,7 +352,7 @@ def mask_tables(seq: KernelSeq, elements: list) -> list:
         raise ValueError(f"mask tables over {len(elements)} points exceed "
                          f"{MAX_SET_POINTS}")
     g = seq.group
-    bit = {g.canonical_key(x): 1 << i for i, x in enumerate(elements)}
+    bit = {x: 1 << i for i, x in enumerate(elements)}
     subsets = [{x for i, x in enumerate(elements) if mask >> i & 1}
                for mask in range(1 << len(elements))]
     tables = []
@@ -365,7 +363,7 @@ def mask_tables(seq: KernelSeq, elements: list) -> list:
             cu = list(accumulate(float(length) for length, _ in pieces))
             cu[-1] = 1.0
             cums.append(np.array(cu))
-            succs.append(np.array([sum(bit[g.canonical_key(y)] for y in a)
+            succs.append(np.array([sum(bit[y] for y in a)
                                    for _, a in pieces], dtype=np.int32))
         tables.append((cums, succs))
     return tables

@@ -6,7 +6,8 @@ so ``==`` on values is group equality and histograms can key on them directly:
 
 * ``CycleZL(L)``     -- residue in ``[0, L)``; ``z2`` is ``CycleZL(2)``
 * ``IntegerLatticeZd(d)`` -- tuple of ints
-* ``EuclideanRd(d)`` -- tuple of floats (compared through binning only)
+* ``EuclideanRd(d)`` -- tuple of floats; its walks are asked about balls,
+  since every point mass of a continuous step law is 0
 * ``RegularTreeFree(d)``  -- reduced word over d involutive letters; the
   Cayley graph is the d-regular tree
 * ``LamplighterZ``   -- (frozenset of lit lamp positions, marker position)
@@ -19,21 +20,14 @@ first, so ``(12)*(13) = (123)``.
 
 from __future__ import annotations
 
-import math
 import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 
-class OutOfEnumeratedBallError(RuntimeError):
-    """Distance query left the memoized ball of a breadth-first variant."""
-
-
 class Group:
-    """Base interface: identity/multiply/inverse plus canonical keys and parsing."""
-
-    variant: str = "?"
+    """Base interface: identity/multiply/inverse plus parsing."""
 
     def identity(self):
         raise NotImplementedError
@@ -44,16 +38,13 @@ class Group:
     def inverse(self, a):
         raise NotImplementedError
 
-    def canonical_key(self, a):
-        """Hashable key, equal iff the elements are equal (binned for R^d)."""
-        return a
-
     def generators(self) -> list:
         """Standard symmetric generating set used for word distances."""
-        raise NotImplementedError(f"{self.variant} has no declared generating set")
+        raise NotImplementedError(
+            f"{type(self).__name__} has no declared generating set")
 
     def word_distance(self, a) -> int:
-        raise NotImplementedError(f"{self.variant} has no word metric")
+        raise NotImplementedError(f"{type(self).__name__} has no word metric")
 
     def parse_element(self, text: str):
         raise NotImplementedError
@@ -88,8 +79,6 @@ class CycleZL(Group):
         if L < 2:
             raise ValueError(f"cycle order must be >= 2, got {L}")
         self.L = L
-
-    variant = "CycleZL"
 
     def identity(self):
         return 0
@@ -136,8 +125,6 @@ class IntegerLatticeZd(Group):
         if d < 1:
             raise ValueError(f"lattice dimension must be >= 1, got {d}")
         self.d = d
-
-    variant = "IntegerLatticeZd"
 
     def identity(self):
         return (0,) * self.d
@@ -195,19 +182,14 @@ class IntegerLatticeZd(Group):
 
 
 class EuclideanRd(Group):
-    """R^d under addition.  Elements are float tuples; equality and histogram
-    keys go through floor binning at ``bin_width`` (default 1.0), since the
-    interesting questions are about balls, not atoms."""
+    """R^d under addition.  Elements are float tuples, equal iff their
+    coordinates are; under a continuous step law every point mass is 0, so
+    the questions asked are about balls."""
 
-    def __init__(self, d: int, bin_width: float = 1.0):
+    def __init__(self, d: int):
         if d < 1:
             raise ValueError(f"dimension must be >= 1, got {d}")
-        if bin_width <= 0:
-            raise ValueError("bin width must be positive")
         self.d = d
-        self.bin_width = bin_width
-
-    variant = "EuclideanRd"
 
     def identity(self):
         return (0.0,) * self.d
@@ -219,10 +201,6 @@ class EuclideanRd(Group):
 
     def inverse(self, a):
         return tuple(-x for x in a)
-
-    def canonical_key(self, a):
-        # Binning, not equality: documented resolution for histogram bucketing.
-        return tuple(math.floor(x / self.bin_width) for x in a)
 
     def parse_element(self, text):
         text = text.strip()
@@ -260,8 +238,6 @@ class RegularTreeFree(Group):
         if not 2 <= d <= len(_LETTERS):
             raise ValueError(f"tree degree must be in [2, {len(_LETTERS)}], got {d}")
         self.d = d
-
-    variant = "RegularTreeFree"
 
     def identity(self):
         return ()
@@ -322,8 +298,6 @@ class LamplighterZ(Group):
     positions.  Generators: toggle the lamp at the marker, move the marker by
     one.  ``(A, k) * (B, m) = (A xor (B + k), k + m)``.
     """
-
-    variant = "LamplighterZ"
 
     def identity(self):
         return (frozenset(), 0)
@@ -404,8 +378,6 @@ class S3xZ(Group):
     0) and a unit shift of the integer part.
     """
 
-    variant = "S3xZ"
-
     def identity(self):
         return ((0, 1, 2), 0)
 
@@ -455,14 +427,16 @@ class S3xZ(Group):
 
 _SIMPLE = {"z2": lambda: CycleZL(2), "lamplighter": LamplighterZ,
            "s3z": S3xZ}
+_SIZED = {"cycle": CycleZL, "lattice": IntegerLatticeZd,
+          "tree": RegularTreeFree, "rd": EuclideanRd}
 
 
 def group_from_literal(text: str) -> Group:
     """Build a group from a config literal.
 
-    Accepted forms: ``z2``, ``cycle:L``, ``lattice:d``, ``rd:d`` (optionally
-    ``rd:d:bin_width``), ``tree:d``, ``lamplighter``, ``s3z``; ``z2`` is
-    ``cycle:2``.
+    Accepted forms: ``z2``, ``cycle:L``, ``lattice:d``, ``rd:d``, ``tree:d``,
+    ``lamplighter``, ``s3z``; ``z2`` is ``cycle:2``.  Each parameterized
+    form takes exactly one integer.
     """
     parts = text.strip().lower().split(":")
     head, args = parts[0], parts[1:]
@@ -470,15 +444,10 @@ def group_from_literal(text: str) -> Group:
         if args:
             raise ValueError(f"{head} takes no parameters: {text!r}")
         return _SIMPLE[head]()
-    if head == "cycle":
-        return CycleZL(int(args[0]))
-    if head == "lattice":
-        return IntegerLatticeZd(int(args[0]))
-    if head == "tree":
-        return RegularTreeFree(int(args[0]))
-    if head == "rd":
-        width = float(args[1]) if len(args) > 1 else 1.0
-        return EuclideanRd(int(args[0]), bin_width=width)
+    if head in _SIZED:
+        if len(args) != 1:
+            raise ValueError(f"{head} takes one parameter: {text!r}")
+        return _SIZED[head](int(args[0]))
     raise ValueError(f"unknown group literal: {text!r}")
 
 
@@ -517,10 +486,9 @@ class StepDistribution:
             group.check_element(elem)
             if w <= 0:
                 raise ValueError(f"weight must be strictly positive, got {w}")
-            key = group.canonical_key(elem)
-            if key in seen:
+            if elem in seen:
                 raise ValueError(f"duplicate support element {group.format_element(elem)}")
-            seen.add(key)
+            seen.add(elem)
             total += w
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total}, not 1")
@@ -530,13 +498,10 @@ class StepDistribution:
         """Mass at the identity."""
         if self.is_continuous:
             return 0.0
-        e_key = group.canonical_key(group.identity())
-        return sum(w for elem, w in self.support
-                   if group.canonical_key(elem) == e_key)
+        return self.mass(group, group.identity())
 
     def mass(self, group: Group, elem) -> float:
-        key = group.canonical_key(elem)
-        return sum(w for s, w in self.support if group.canonical_key(s) == key)
+        return sum(w for s, w in self.support if s == elem)
 
     @classmethod
     def uniform(cls, elements: Iterable) -> "StepDistribution":
@@ -552,7 +517,8 @@ class StepDistribution:
         if isinstance(group, LamplighterZ):
             return cls.uniform([e] + group.generators())
         if not isinstance(group, (CycleZL, IntegerLatticeZd)):
-            raise ValueError(f"no lazy shorthand for group {group.variant}")
+            raise ValueError(
+                f"no lazy shorthand for group {type(group).__name__}")
         gens = group.generators()
         return cls(support=[(e, 0.5)] + [(g, 0.5 / len(gens)) for g in gens])
 
@@ -600,25 +566,20 @@ def is_class_function(group: Group, mu: StepDistribution,
     if group.is_abelian:
         return ClassFunctionCheck(conclusive=True, holds=True)
     mu.validate(group)
-    masses = {group.canonical_key(e): (e, w) for e, w in mu.support}
-
-    def mass_of(key):
-        return masses[key][1] if key in masses else 0.0
-
+    masses = dict(mu.support)
     gens = group.generators()
-    frontier = deque(e for e, _ in mu.support)
-    seen = {group.canonical_key(e) for e, _ in mu.support}
+    frontier = deque(masses)
+    seen = set(masses)
     while frontier:
         x = frontier.popleft()
-        mx = mass_of(group.canonical_key(x))
+        mx = masses.get(x, 0.0)
         for g in gens:
             y = group.multiply(group.multiply(group.inverse(g), x), g)
-            ky = group.canonical_key(y)
-            if abs(mass_of(ky) - mx) > 1e-12:
+            if abs(masses.get(y, 0.0) - mx) > 1e-12:
                 return ClassFunctionCheck(conclusive=True, holds=False,
                                           witness=(x, g, y))
-            if ky not in seen:
-                seen.add(ky)
+            if y not in seen:
+                seen.add(y)
                 if len(seen) > orbit_cap:
                     return ClassFunctionCheck(conclusive=False, holds=False)
                 frontier.append(y)
@@ -626,27 +587,27 @@ def is_class_function(group: Group, mu: StepDistribution,
 
 
 def bfs_ball(group: Group, radius: int, generators=None) -> dict:
-    """Map ``canonical_key -> (element, distance)`` for the ball around e.
+    """Map ``element -> distance`` for the ball around e.
 
     Plain breadth-first search over the Cayley graph; intended as a
     cross-check for the closed-form word distances and for enumerating small
-    balls.  Raises if the ball grows past ten million elements.
+    balls.  Raises ``ValueError`` if the ball grows past ten million
+    elements.
     """
     gens = list(generators) if generators is not None else group.generators()
     e = group.identity()
-    ball = {group.canonical_key(e): (e, 0)}
+    ball = {e: 0}
     frontier = [e]
     for r in range(1, radius + 1):
         nxt = []
         for x in frontier:
             for g in gens:
                 y = group.multiply(x, g)
-                ky = group.canonical_key(y)
-                if ky not in ball:
-                    ball[ky] = (y, r)
+                if y not in ball:
+                    ball[y] = r
                     nxt.append(y)
                     if len(ball) > 10_000_000:
-                        raise OutOfEnumeratedBallError(
+                        raise ValueError(
                             f"ball of radius {radius} exceeds enumeration budget")
         frontier = nxt
     return ball

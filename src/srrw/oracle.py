@@ -14,7 +14,7 @@ values of the float inputs) to certify the double-precision results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import Group, StepDistribution
@@ -24,40 +24,36 @@ DFS_CAP = 8
 
 
 class _MassMap:
-    """Endpoint masses by canonical key, with a representative element for
-    each: exact sums for Fractions, compensated sums for floats."""
+    """Endpoint masses by element: exact sums for Fractions, compensated
+    sums for floats."""
 
-    def __init__(self, group: Group, exact: bool):
-        self.group, self.exact = group, exact
+    def __init__(self, exact: bool):
+        self.exact = exact
         self.sums: dict = {}
-        self.rep: dict = {}
         self._comp: dict = {}
 
     def add(self, x, w):
-        key = self.group.canonical_key(x)
-        self.rep.setdefault(key, x)
-        s = self.sums.get(key, 0)
+        s = self.sums.get(x, 0)
         if self.exact:
-            self.sums[key] = s + w
+            self.sums[x] = s + w
             return
-        y = w - self._comp.get(key, 0.0)
+        y = w - self._comp.get(x, 0.0)
         t = s + y
-        self._comp[key] = (t - s) - y
-        self.sums[key] = t
+        self._comp[x] = (t - s) - y
+        self.sums[x] = t
 
     def law(self, n: int, count: int) -> "ExactDistribution":
-        mass = {k: p for k, p in self.sums.items() if p > 0}
-        return ExactDistribution(n=n, mass=mass, rep=self.rep,
+        mass = {x: p for x, p in self.sums.items() if p > 0}
+        return ExactDistribution(n=n, mass=mass,
                                  enumeration_count=count).check()
 
 
 @dataclass
 class ExactDistribution:
-    """Exact law of the walk endpoint: canonical key -> probability."""
+    """Exact law of the walk endpoint: group element -> probability."""
 
     n: int
     mass: dict
-    rep: dict = field(repr=False, default_factory=dict)
     enumeration_count: int = 0
 
     def check(self) -> "ExactDistribution":
@@ -66,8 +62,8 @@ class ExactDistribution:
         assert all(p > 0 for p in self.mass.values())
         return self
 
-    def prob(self, key) -> float:
-        return float(self.mass.get(key, 0))
+    def prob(self, x) -> float:
+        return float(self.mass.get(x, 0))
 
 
 def iid_convolution(group: Group, mu: StepDistribution, n: int,
@@ -79,35 +75,28 @@ def iid_convolution(group: Group, mu: StepDistribution, n: int,
     """
     mu.validate(group)
     one = Fraction(1) if exact else 1.0
-    cur = {group.canonical_key(group.identity()): (group.identity(), one)}
+    cur = {group.identity(): one}
     for _ in range(n):
         nxt: dict = {}
-        for key, (x, p) in cur.items():
+        for x, p in cur.items():
             for e, w in mu.support:
-                ww = Fraction(w) if exact else w
                 y = group.multiply(x, e)
-                ky = group.canonical_key(y)
-                if ky in nxt:
-                    nxt[ky] = (y, nxt[ky][1] + p * ww)
-                else:
-                    nxt[ky] = (y, p * ww)
+                nxt[y] = nxt.get(y, 0) + p * (Fraction(w) if exact else w)
         cur = nxt
-    mass = {k: p for k, (_, p) in cur.items()}
-    rep = {k: x for k, (x, _) in cur.items()}
-    return ExactDistribution(n=n, mass=mass, rep=rep,
-                             enumeration_count=len(mass)).check()
+    return ExactDistribution(n=n, mass=cur,
+                             enumeration_count=len(cur)).check()
 
 
-def exact_distribution(config: SrrwConfig, n: int, exact: bool = False,
-                       n_cap: int = DFS_CAP) -> ExactDistribution:
-    """Exact endpoint law by full enumeration.
+def exact_distribution(config: SrrwConfig, n: int,
+                       exact: bool = False) -> ExactDistribution:
+    """Exact endpoint law by full enumeration, keyed by group element.
 
     Identity transforms on an abelian group run the type-count urn, whose
     state count grows like n^(k-1) for k atoms, and take any modest n;
     everything else walks the full branching tree and is capped at
-    ``n_cap`` (default 8) steps.  With ``exact=True`` all weights are
-    Fractions built from the exact binary values of the float parameters,
-    certifying the float accumulation.
+    ``DFS_CAP`` (8) steps.  With ``exact=True`` all weights are Fractions
+    built from the exact binary values of the float parameters, certifying
+    the float accumulation.
     """
     if config.mu.is_continuous:
         raise ValueError("exact law needs a finite-support mu")
@@ -117,9 +106,9 @@ def exact_distribution(config: SrrwConfig, n: int, exact: bool = False,
         raise ValueError("need n >= 1")
     if isinstance(config.transform, Identity) and config.group.is_abelian:
         return _exact_identity_abelian(config, n, exact)
-    if n > n_cap:
+    if n > DFS_CAP:
         raise ValueError(
-            f"full enumeration capped at n = {n_cap}; got n = {n} "
+            f"full enumeration capped at n = {DFS_CAP}; got n = {n} "
             "(only the identity-transform abelian case avoids the tree)")
     return _exact_dfs(config, n, exact)
 
@@ -129,7 +118,7 @@ def _exact_dfs(config: SrrwConfig, n: int, exact: bool) -> ExactDistribution:
     alpha = Fraction(config.alpha) if exact else config.alpha
     one = Fraction(1) if exact else 1.0
     mu_atoms = [(e, Fraction(w) if exact else w) for e, w in mu.support]
-    acc = _MassMap(g, exact)
+    acc = _MassMap(exact)
     count = 0
 
     steps: list = []
@@ -145,10 +134,9 @@ def _exact_dfs(config: SrrwConfig, n: int, exact: bool) -> ExactDistribution:
             record(w)
             return
         if j >= 2 and alpha > 0:
+            history = WalkTrace(group=g, steps=steps, positions=positions,
+                                reinforcement_flags=[], picks=[])
             for u in range(1, j):
-                history = WalkTrace(group=g, steps=steps,
-                                    positions=positions,
-                                    reinforcement_flags=[], picks=[])
                 pushed = tf.push_point(g, mu, j, steps[u - 1], history=history)
                 for y, pw in pushed:
                     pw = Fraction(pw) if exact else pw
@@ -199,7 +187,7 @@ def _exact_identity_abelian(config: SrrwConfig, n: int,
         for _ in range(n):
             row.append(g.multiply(row[-1], e))
         powers.append(row)
-    acc = _MassMap(g, exact)
+    acc = _MassMap(exact)
     for c, p in states.items():
         x = g.identity()
         for row, ci in zip(powers, c):

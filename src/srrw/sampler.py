@@ -81,14 +81,14 @@ class Transform:
         """
         if mu.is_continuous:
             return None
-        key, atoms = group.canonical_key, list(atoms)
-        code = {key(x): c for c, x in enumerate(atoms)}
+        atoms = list(atoms)
+        code = {x: c for c, x in enumerate(atoms)}
 
         def code_of(x):
-            if key(x) not in code:
-                code[key(x)] = len(atoms)
+            if x not in code:
+                code[x] = len(atoms)
                 atoms.append(x)
-            return code[key(x)]
+            return code[x]
 
         # push only what mu or a replay reaches, lowest code first; replays
         # may reach new atoms
@@ -104,9 +104,9 @@ class Transform:
             todo = sorted(set(todo) | set(rows[c]) - rows.keys())
         if len(atoms) > cap:
             return None
-        mass = {key(x): w for x, w in mu.support}
+        mass = dict(mu.support)
         rows = [rows.get(c, [c] * len(branches)) for c in range(len(atoms))]
-        return [(x, mass.get(key(x), 0.0)) for x in atoms], (rows, branches)
+        return [(x, mass.get(x, 0.0)) for x in atoms], (rows, branches)
 
     def apply(self, group, mu, j, x, rng, history=None):
         raise NotImplementedError
@@ -236,14 +236,13 @@ class ErwRotation(Transform):
         if self.d < 2:
             raise ValueError("rotation needs at least two support elements")
         self._alphabet = [e for e, _ in mu.support]
-        self._index = {group.canonical_key(e): i
-                       for i, e in enumerate(self._alphabet)}
+        self._index = {e: i for i, e in enumerate(self._alphabet)}
         return self
 
     def _idx(self, group, mu, x):
         if self._index is None:
             self.validate(group, mu)
-        i = self._index.get(group.canonical_key(x))
+        i = self._index.get(x)
         if i is None:
             raise ValueError(f"step {x!r} outside the transform alphabet")
         return i
@@ -345,10 +344,10 @@ class WalkTrace:
         assert len(self.positions) == self.n + 1
         assert len(self.reinforcement_flags) == max(0, self.n - 1)
         assert len(self.picks) == max(0, self.n - 1)
-        assert g.canonical_key(self.positions[0]) == g.canonical_key(g.identity())
+        assert self.positions[0] == g.identity()
         for j in range(1, self.n + 1):
             prod = g.multiply(self.positions[j - 1], self.steps[j - 1])
-            assert g.canonical_key(prod) == g.canonical_key(self.positions[j])
+            assert prod == self.positions[j]
         for j, u in zip(range(2, self.n + 1), self.picks):
             assert 1 <= u <= j - 1
         return self
@@ -432,13 +431,8 @@ def next_step_distribution(config: SrrwConfig, history) -> StepDistribution:
     law: dict = {}
 
     def add(elem, w):
-        if w == 0:
-            return
-        key = g.canonical_key(elem)
-        if key in law:
-            law[key][1] += w
-        else:
-            law[key] = [elem, w]
+        if w:
+            law[elem] = law.get(elem, 0) + w
 
     for elem, w in mu.support:
         add(elem, (1 - alpha) * w)
@@ -446,7 +440,7 @@ def next_step_distribution(config: SrrwConfig, history) -> StepDistribution:
         for elem, w in config.transform.push_point(g, mu, n + 1, x,
                                                    history=history):
             add(elem, alpha / n * w)
-    return StepDistribution(support=[(e, w) for e, w in law.values()])
+    return StepDistribution(support=list(law.items()))
 
 
 def transform_from_literal(text: str) -> Transform:

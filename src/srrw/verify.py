@@ -116,8 +116,7 @@ def suite_oracle_agreement(seed: int = DEFAULT_SEED, threads: int = 1):
                 dist = exact_distribution(cfg, n)
                 inv = cycle_distribution(alpha, L, n)
                 for m in range(L):
-                    worst_cyc = max(worst_cyc,
-                                    abs(inv[m] - dist.prob(g.canonical_key(m))))
+                    worst_cyc = max(worst_cyc, abs(inv[m] - dist.prob(m)))
     r2 = CriterionResult(
         criterion="oracle-cycle-inversion",
         expected="Fourier inversion equals enumeration on cycles 3,4,5, n <= 7",

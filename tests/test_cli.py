@@ -208,6 +208,15 @@ def test_main_writes_out_file_and_exit_codes(tmp_path, capsys):
                  "--mu", "lazy", "--n", "4", "--trials", "10",
                  "--target", "e"]) == 2
     assert "error:" in capsys.readouterr().err
+    # R^d has no bin width, and under a continuous law no point mass
+    rd = ["simulate", "--alpha", "0.5", "--mu", "gaussian", "--n", "4",
+          "--trials", "10"]
+    for argv, reason in ((rd + ["--group", "rd:2:0.5", "--ball-r", "1"],
+                          "error: --group: "),
+                         (rd + ["--group", "rd:2", "--target", "e"],
+                          "error: simulate: every point mass")):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(reason)
 
     # status 1 means a failed verify criterion; a failed write is 2
     missing = tmp_path / "missing" / "x.csv"

@@ -290,3 +290,19 @@ def test_engine_refuses_what_no_engine_represents():
     refused += [(two, "point", ()), (two, "escape", None)]
     for cfg, query, arg in refused:
         assert estimators._engine(cfg, query, arg) is None, (cfg, query, arg)
+
+
+def test_point_queries_refused_under_a_continuous_law():
+    # every point mass of the Gaussian walk is 0: only balls have an answer
+    rd = SrrwConfig(group=EuclideanRd(2), alpha=0.5,
+                    mu=StepDistribution(family="gaussian"))
+    with pytest.raises(ValueError, match="ball_curve"):
+        point_mass_curve(rd, [4], rd.group.identity(), 100, 1)
+    with pytest.raises(ValueError, match="ball_curve"):
+        mc_histogram(rd, 4, 100, 1)
+    # a finite law on R^d has atoms, and they are counted as points
+    two = SrrwConfig(group=EuclideanRd(1), alpha=0.5, mu=StepDistribution(
+        support=[((0.2,), 0.5), ((0.7,), 0.5)]))
+    counts = mc_histogram(two, 1, 1000, 1)
+    assert set(counts) == {(0.2,), (0.7,)}
+    assert sum(counts.values()) == 1000

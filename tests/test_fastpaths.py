@@ -134,7 +134,7 @@ def test_s3z_engine_vs_exact():
     e = g.identity()
     for n, target in ((4, e), (5, ((1, 0, 2), 1))):
         est = mc_point_mass(cfg, n, target, 40000, SEED)
-        exact = exact_distribution(cfg, n).prob(g.canonical_key(target))
+        exact = exact_distribution(cfg, n).prob(target)
         assert abs(z_score(est, exact)) < 4
     assert mc_point_mass(cfg, 5, e, 40000, SEED).value == 0.0
     # with a 3-cycle atom the product order shows: a table multiplying in
@@ -143,7 +143,7 @@ def test_s3z_engine_vs_exact():
         support=[(((1, 0, 2), 0), 0.5), (((1, 2, 0), 0), 0.5)]))
     target = ((0, 2, 1), 0)
     est = mc_point_mass(cfg, 3, target, 40000, SEED)
-    exact = exact_distribution(cfg, 3).prob(g.canonical_key(target))
+    exact = exact_distribution(cfg, 3).prob(target)
     assert abs(z_score(est, exact)) < 4
 
 
@@ -156,7 +156,7 @@ def test_lamplighter_engine_vs_exact():
     cfg = SrrwConfig(group=g, alpha=0.4, mu=mu)
     dist = exact_distribution(cfg, 5)
     est = mc_point_mass(cfg, 5, e, 40000, SEED)
-    assert abs(z_score(est, dist.prob(g.canonical_key(e)))) < 4
+    assert abs(z_score(est, dist.prob(e))) < 4
 
 
 def test_tree_engine_vs_exact():
@@ -490,7 +490,7 @@ def test_tree_engine_vs_exact_at_even_horizons():
         cfg = erw_config(3, p)
         e = cfg.group.identity()
         for n, est in point_mass_curve(cfg, [2, 4, 6], e, 40000, SEED):
-            exact = exact_distribution(cfg, n).prob(cfg.group.canonical_key(e))
+            exact = exact_distribution(cfg, n).prob(e)
             assert abs(z_score(est, exact)) < 4
 
 
@@ -504,10 +504,9 @@ def test_alpha_edges_give_the_exact_law():
         for cfg, alpha, target in cases:
             if alpha is not None:
                 cfg = SrrwConfig(group=cfg.group, alpha=alpha, mu=cfg.mu)
-            g = cfg.group
             dist = exact_distribution(cfg, 6)
             est = mc_point_mass(cfg, 6, target, 40000, SEED)
-            assert abs(z_score(est, dist.prob(g.canonical_key(target)))) < 4
+            assert abs(z_score(est, dist.prob(target))) < 4
         # alpha = 1 without rotation repeats one letter: back at e on even n
         assert fastpaths.tree_erw_origin_hits(3, 1.0, [1, 2, 3, 4], 1000,
                                               SEED) == {
@@ -569,11 +568,10 @@ def test_table_engines_vs_exact(monkeypatch, case):
     assert _replay(cfg) is not None
     monkeypatch.setattr(estimators, "_per_trial", None)
     dist = exact_distribution(cfg, n)
-    key = cfg.group.canonical_key
     for target in targets:
         est = mc_point_mass(cfg, n, target, 40000, SEED)
-        assert dist.prob(key(target)) > 0.01
-        assert abs(z_score(est, dist.prob(key(target)))) < 4, target
+        assert dist.prob(target) > 0.01
+        assert abs(z_score(est, dist.prob(target))) < 4, target
 
 
 def test_table_branch_rules_agree_in_law(monkeypatch):

@@ -147,8 +147,6 @@ def test_dfs_cap_and_validation():
     cfg = SrrwConfig(group=CycleZL(2), alpha=0.5, mu=Z2_MU, transform=IidSign(1.0))
     with pytest.raises(ValueError, match="capped"):
         exact_distribution(cfg, 9)
-    with pytest.raises(ValueError, match="capped"):
-        exact_distribution(cfg, 5, n_cap=4)
     with pytest.raises(ValueError):
         exact_distribution(cfg, 0)
 

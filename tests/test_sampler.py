@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from srrw.groups import (CycleZL, IntegerLatticeZd, RegularTreeFree,
-                         StepDistribution)
+from srrw.groups import (CycleZL, EuclideanRd, IntegerLatticeZd,
+                         RegularTreeFree, StepDistribution)
 from srrw.oracle import exact_distribution
 from srrw.rng import stream
 from srrw.sampler import (EchoLawLinear, ErwRotation, HistoryDependent,
@@ -111,6 +111,16 @@ def test_next_step_distribution_base_cases():
     assert math.isclose(masses[2], 0.25, rel_tol=1e-12)
 
 
+def test_next_step_distribution_keeps_nearby_reals_apart():
+    # 0.2 and 0.4 share a unit cell of R^1 but are different steps
+    g = EuclideanRd(1)
+    mu = StepDistribution(support=[((0.2,), 0.5), ((1.7,), 0.5)])
+    cfg = SrrwConfig(group=g, alpha=0.5, mu=mu)
+    law = next_step_distribution(cfg, [(0.2,), (0.4,)])
+    assert law.support == [((0.2,), 0.5), ((1.7,), 0.25), ((0.4,), 0.25)]
+    law.validate(g)
+
+
 def test_next_step_distribution_rejects_randomized_callback():
     tf = HistoryDependent(lambda j, h, rng: {1: 1, 2: 2}, deterministic=False)
     cfg = SrrwConfig(group=CycleZL(3), alpha=0.5, mu=PM1, transform=tf)
@@ -161,9 +171,8 @@ def test_erw_exact_two_step_law():
     for p in (0.15, 0.6):
         cfg = erw_config(3, p)
         dist = exact_distribution(cfg, 2)
-        g = cfg.group
         # P(S_2 = e) = P(second step cancels the first) = p
-        assert math.isclose(dist.prob(g.canonical_key(())), p, abs_tol=1e-12)
+        assert math.isclose(dist.prob(()), p, abs_tol=1e-12)
 
 
 def test_negation_and_iid_sign():

@@ -58,6 +58,14 @@ ARGVS = (
                  "echo:[[[[0,-1],[1,0]],1.0]]")]
     + [["exact", "--group", g, "--alpha", "0.5", "--mu", "lazy", "--n", "6"]
        for g in ("z2", "cycle:5")]
+    # element keys as written: a quoted lattice key, lamplighter keys, and
+    # the branching enumeration that replay through a transform takes
+    + [["exact", "--group", "lattice:2", "--alpha", "0.5", "--mu", "lazy",
+        "--n", "2"],
+       ["exact", "--group", "lamplighter", "--alpha", "0.5", "--mu", "lazy",
+        "--n", "3"],
+       ["exact", "--group", "cycle:5", "--alpha", "0.5", "--mu", "pm1",
+        "--transform", "negation", "--n", "5"]]
     + [_evoset("trace", "cycle:5", "pm1"),
        _evoset("trace", "lattice:2", "lazy"),
        _evoset("profile", "z2", "lazy")]
