@@ -64,6 +64,7 @@ from .oracle import (
     exact_distribution,
     iid_convolution,
     exact_isolated_distribution,
+    isolated_log_laws,
     tv_distance,
 )
 from .evolving import (
@@ -90,8 +91,6 @@ from .estimators import (
     mc_escape_rate,
     DecayFit,
     rate_fit,
-    IsolatedTail,
-    isolated_tail_check,
 )
 from .reports import config_hash, csv_bytes, parse_csv, json_bytes, VERSION
 from .verify import CriterionResult, run_suites, SUITES
@@ -115,7 +114,7 @@ __all__ = [
     "z2_return_gap", "z2_return_gap_bounds", "cycle_distribution",
     "decay_envelope", "decay_bound_check",
     "ExactDistribution", "exact_distribution", "iid_convolution",
-    "exact_isolated_distribution", "tv_distance",
+    "exact_isolated_distribution", "isolated_log_laws", "tv_distance",
     "MuStep", "DeterministicStep", "KernelSeq", "kernel_seq_from_forest",
     "step_pieces", "martingale_defect", "doob_step", "psi", "bottleneck",
     "iso_profile", "psi_profile", "set_tree",
@@ -123,7 +122,6 @@ __all__ = [
     "point_mass_curve", "mc_point_mass", "mc_histogram",
     "ball_curve", "mc_ball", "mc_escape_rate",
     "DecayFit", "rate_fit",
-    "IsolatedTail", "isolated_tail_check",
     "config_hash", "csv_bytes", "parse_csv", "json_bytes",
     "CriterionResult", "run_suites", "SUITES",
     "VERSION",

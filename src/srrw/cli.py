@@ -24,8 +24,8 @@ from .estimators import ball_curve, point_mass_curve
 from .evolving import (doob_step, iso_profile, kernel_seq_from_forest,
                        psi_profile)
 from .forest import assign_and_assemble, grow
-from .groups import (CycleZL, EuclideanRd, Group, StepDistribution,
-                     group_from_literal)
+from .groups import (CycleZL, EuclideanRd, Group, IntegerLatticeZd,
+                     StepDistribution, group_from_literal)
 from .oracle import exact_distribution
 from .sampler import SrrwConfig, transform_from_literal
 
@@ -39,8 +39,9 @@ def mu_from_cli(text: str, group: Group) -> StepDistribution:
 
     Shorthand names: ``lazy`` (half mass at the identity), ``gens`` (uniform
     on the standard generators), ``letters`` (tree alias of gens), ``pm1``
-    (uniform on +-1 for cycles); continuous family names for R^d; otherwise
-    a Python list of [element, weight] pairs.
+    (uniform on +-1 for cycles); on R^d, ``axis`` (uniform on the 2d atoms
+    +-e_i) and the continuous families ``gaussian`` and ``sphere``;
+    otherwise a Python list of [element, weight] pairs.
     """
     text = text.strip()
     if text == "lazy":
@@ -51,8 +52,11 @@ def mu_from_cli(text: str, group: Group) -> StepDistribution:
         if not isinstance(group, CycleZL):
             raise CliError("pm1 shorthand is for cyclic groups")
         return StepDistribution.uniform(group.generators()).validate(group)
-    if isinstance(group, EuclideanRd) and text in ("gaussian", "sphere",
-                                                   "axis"):
+    if isinstance(group, EuclideanRd) and text == "axis":
+        units = IntegerLatticeZd(group.d).generators()
+        return StepDistribution.uniform(
+            [tuple(map(float, u)) for u in units]).validate(group)
+    if isinstance(group, EuclideanRd) and text in ("gaussian", "sphere"):
         return StepDistribution(family=text).validate(group)
     if text.startswith("["):
         pairs = ast.literal_eval(text)

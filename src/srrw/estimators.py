@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fastpaths
 from . import rng as rngmod
-from .forest import grow, assign_and_assemble, isolated_counts_batch
+from .forest import grow, assign_and_assemble
 from .groups import (CycleZL, EuclideanRd, IntegerLatticeZd, LamplighterZ,
                      RegularTreeFree, S3xZ)
 from .sampler import SrrwConfig, sample_walk
@@ -280,42 +280,3 @@ def rate_fit(points, model: str) -> DecayFit:
                     slope_ci=(slope - Z95 * se, slope + Z95 * se),
                     residual=resid, used=tuple(used),
                     dropped=tuple(dropped))
-
-
-@dataclass(frozen=True)
-class IsolatedTail:
-    """One observed tail probability against its exponential bound."""
-
-    n: int
-    alpha: float
-    threshold: float
-    estimate: Estimate
-    bound: float
-    passed: bool
-
-
-def isolated_tail_check(alpha: float, n_list, trials: int, seed: int,
-                        threads: int = 1):
-    """Check P(I(n) <= (1-alpha) n / 8) against 5 exp(-3(1-alpha)n/280).
-
-    Passes when the empirical tail stays below bound plus three standard
-    errors; the bound holds in expectation for every n, so an excess beyond
-    noise is a real violation.
-    """
-    results = []
-    for n in sorted(set(int(x) for x in n_list)):
-        thr = (1 - alpha) * n / 8.0
-
-        def worker(ci, m, n=n, thr=thr):
-            rng = rngmod.stream(seed, 64, ci, n)
-            counts = isolated_counts_batch(n, alpha, m, rng)
-            return int((counts <= thr).sum())
-
-        parts = fastpaths._chunk_map(worker, trials, 1 << 14, threads)
-        est = binomial_estimate(sum(parts), trials)
-        bound = 5.0 * math.exp(-3 * (1 - alpha) * n / 280.0)
-        ok = est.value <= bound + 3 * est.stderr
-        results.append(IsolatedTail(n=n, alpha=alpha, threshold=thr,
-                                    estimate=est, bound=min(bound, 1.0),
-                                    passed=ok))
-    return results

@@ -6,7 +6,7 @@ so ``==`` on values is group equality and histograms can key on them directly:
 
 * ``CycleZL(L)``     -- residue in ``[0, L)``; ``z2`` is ``CycleZL(2)``
 * ``IntegerLatticeZd(d)`` -- tuple of ints
-* ``EuclideanRd(d)`` -- tuple of floats; its walks are asked about balls,
+* ``EuclideanRd(d)`` -- tuple of finite floats; its walks are asked about balls,
   since every point mass of a continuous step law is 0
 * ``RegularTreeFree(d)``  -- reduced word over d involutive letters; the
   Cayley graph is the d-regular tree
@@ -20,6 +20,7 @@ first, so ``(12)*(13) = (123)``.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -182,9 +183,9 @@ class IntegerLatticeZd(Group):
 
 
 class EuclideanRd(Group):
-    """R^d under addition.  Elements are float tuples, equal iff their
-    coordinates are; under a continuous step law every point mass is 0, so
-    the questions asked are about balls."""
+    """R^d under addition.  Elements are tuples of finite floats, equal iff
+    their coordinates are; under a continuous step law every point mass is
+    0, so the questions asked are about balls."""
 
     def __init__(self, d: int):
         if d < 1:
@@ -216,7 +217,10 @@ class EuclideanRd(Group):
     def check_element(self, a):
         if not (isinstance(a, tuple) and len(a) == self.d):
             raise ValueError(f"not an R^{self.d} element: {a!r}")
-        return tuple(float(x) for x in a)
+        out = tuple(float(x) for x in a)
+        if not all(math.isfinite(x) for x in out):
+            raise ValueError(f"non-finite R^{self.d} coordinate: {a!r}")
+        return out
 
     @property
     def is_abelian(self):
@@ -451,7 +455,7 @@ def group_from_literal(text: str) -> Group:
     raise ValueError(f"unknown group literal: {text!r}")
 
 
-_CONTINUOUS_FAMILIES = ("gaussian", "sphere", "axis")
+_CONTINUOUS_FAMILIES = ("gaussian", "sphere")
 
 
 class StepDistribution:
@@ -459,8 +463,8 @@ class StepDistribution:
 
     Finite support is a list of ``(element, weight)`` pairs with positive
     weights summing to 1 and pairwise distinct elements.  On R^d the families
-    ``gaussian`` (standard normal), ``sphere`` (uniform on the unit sphere)
-    and ``axis`` (uniform on +-e_i) are available instead.
+    ``gaussian`` (standard normal) and ``sphere`` (uniform on the unit
+    sphere) are available instead; a finite law on R^d has atoms.
     """
 
     def __init__(self, support=None, family: Optional[str] = None):

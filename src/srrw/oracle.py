@@ -5,7 +5,8 @@ Ground truth for everything else: enumerate all of the walk's randomness
 probability weights and accumulate the law of the endpoint.  With the
 identity transform on an abelian group the endpoint depends only on how many
 steps took each atom of mu, and those counts form an urn, so a polynomial
-chain over count vectors reaches horizons the raw tree cannot.
+chain over count vectors reaches horizons the raw tree cannot.  The
+forest's isolated-vertex count is a Markov chain, run in the log domain.
 
 Float masses are accumulated with compensated summation; an exact-rational
 mode reruns the same enumeration in Fraction arithmetic (on the exact binary
@@ -14,8 +15,11 @@ values of the float inputs) to certify the double-precision results.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .groups import Group, StepDistribution
 from .sampler import Identity, SrrwConfig, WalkTrace
@@ -203,26 +207,53 @@ def exact_isolated_distribution(alpha, n: int, exact: bool = False) -> dict:
     The count is Markov as vertices arrive: it goes up by one when the new
     edge is dropped, down by one when the new vertex attaches to a current
     singleton (probability proportional to the singleton count), and is
-    unchanged otherwise.  Quadratic in n; no enumeration involved.
+    unchanged otherwise.  Floats come from ``isolated_log_laws``; with
+    ``exact=True`` the same recursion runs in Fractions and certifies it.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    a = Fraction(alpha) if exact else float(alpha)
-    one = Fraction(1) if exact else 1.0
-    zero = one * 0
-    probs = [zero] * (n + 1)
-    probs[1] = one
+    if not exact:
+        for _, logs in isolated_log_laws(alpha, n):
+            pass
+        return {i: float(p) for i, p in enumerate(np.exp(logs)) if p != 0}
+    a = Fraction(alpha)
+    law = {1: Fraction(1)}
     for j in range(1, n):
-        nxt = [zero] * (n + 1)
-        for i, p in enumerate(probs):
-            if p == 0:
-                continue
-            nxt[i + 1] += p * (one - a)
-            if i > 0:
-                nxt[i - 1] += p * a * i / j
-            nxt[i] += p * a * (j - i) / j
-        probs = nxt
-    return {i: p for i, p in enumerate(probs) if p != 0}
+        nxt: dict = {}
+        for i, p in law.items():
+            for k, q in ((i + 1, 1 - a), (i - 1, a * i / j),
+                         (i, a * (j - i) / j)):
+                if q:
+                    nxt[k] = nxt.get(k, 0) + p * q
+        law = nxt
+    return law
+
+
+def isolated_log_laws(alpha, n_max: int):
+    """Yield (n, log P(I(n) = i) for i = 0..n) for n = 1..n_max.
+
+    The isolated-count recursion in floats, in the log domain so that tails
+    below double range keep their size; it holds one law at a time, never
+    the (n x n) table.  An impossible count reads -inf.
+    """
+    if n_max < 1:
+        raise ValueError("need n >= 1")
+    a = float(alpha)
+    with np.errstate(divide="ignore"):
+        log_keep, log_a = np.log(1.0 - a), np.log(a)
+        log_int = np.log(np.arange(n_max + 1.0))
+    logs = np.array([-np.inf, 0.0])
+    yield 1, logs
+    for j in range(1, n_max):
+        per_count = log_a - log_int[j]
+        # i -> i: the new vertex keeps an edge to one of j - i clustered ones
+        nxt = np.append(logs + log_int[j::-1] + per_count, -np.inf)
+        # i -> i + 1: its edge is dropped
+        nxt[1:] = np.logaddexp(nxt[1:], logs + log_keep)
+        # i -> i - 1: it keeps an edge to one of the i singletons
+        nxt[:j] = np.logaddexp(nxt[:j], logs[1:] + log_int[1:j + 1] + per_count)
+        logs = nxt
+        yield j + 1, logs
 
 
 def isolated_distribution_bruteforce(alpha, n: int, cap: int = 8) -> dict:
@@ -244,7 +275,7 @@ def isolated_distribution_bruteforce(alpha, n: int, cap: int = 8) -> dict:
             w = 1.0
             for b in bits:
                 w *= a if b else (1 - a)
-            w /= _u_count(n)
+            w /= math.factorial(n - 1)
             parent = [0, 0] + list(us)
             retained = [0, 0] + list(bits)
             retained[1] = 0
@@ -252,13 +283,6 @@ def isolated_distribution_bruteforce(alpha, n: int, cap: int = 8) -> dict:
             i = clusters(f).isolated_count
             out[i] = out.get(i, 0.0) + w
     return out
-
-
-def _u_count(n: int) -> int:
-    c = 1
-    for j in range(2, n + 1):
-        c *= j - 1
-    return c
 
 
 def tv_distance(empirical: dict, exact: ExactDistribution) -> float:

@@ -26,18 +26,10 @@ from .groups import (Group, IntegerLatticeZd, EuclideanRd, RegularTreeFree,
 def draw_step(group: Group, mu: StepDistribution, rng) -> object:
     """One draw from ``mu`` (finite support or continuous family)."""
     if mu.is_continuous:
-        d = group.d
-        if mu.family == "gaussian":
-            return tuple(float(x) for x in rng.standard_normal(d))
+        v = rng.standard_normal(group.d)
         if mu.family == "sphere":
-            v = rng.standard_normal(d)
-            return tuple(float(x) for x in v / np.linalg.norm(v))
-        # axis: uniform over the 2d signed unit vectors
-        i = int(rng.integers(0, d))
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        out = [0.0] * d
-        out[i] = sign
-        return tuple(out)
+            v = v / np.linalg.norm(v)
+        return tuple(float(x) for x in v)
     r = rng.random()
     acc = 0.0
     for elem, w in mu.support:

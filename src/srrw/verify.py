@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -30,7 +31,8 @@ from .evolving import (DeterministicStep, MuStep, compose_matrices,
 from .forest import assign_and_assemble, grow, isolated_counts_batch
 from .groups import (CycleZL, IntegerLatticeZd, LamplighterZ, S3xZ,
                      StepDistribution)
-from .oracle import exact_distribution, exact_isolated_distribution, tv_distance
+from .oracle import (exact_distribution, exact_isolated_distribution,
+                     isolated_log_laws, tv_distance)
 from .sampler import SrrwConfig, erw_config
 
 DEFAULT_SEED = 1729
@@ -192,27 +194,38 @@ def suite_decay_envelope(seed: int = DEFAULT_SEED, threads: int = 1):
         passed=violations == 0)]
 
 
+def _tail_threshold(alpha: float, n: int) -> int:
+    """floor((1 - alpha) n / 8) at alpha's decimal value, not its float's."""
+    return math.floor((1 - Fraction(repr(alpha))) * n / 8)
+
+
 def suite_isolated(seed: int = DEFAULT_SEED, threads: int = 1):
-    """Concentration bound for the fresh-draw count, plus law agreement."""
-    trials = 10 ** 5
-    worst_excess = -math.inf
-    all_ok = True
-    for alpha in (0.2, 0.5, 0.8):
-        for res in estimators.isolated_tail_check(alpha, [50, 100, 200],
-                                                  trials, seed,
-                                                  threads=threads):
-            excess = res.estimate.value - res.bound
-            worst_excess = max(worst_excess, excess)
-            if excess > 0:
-                all_ok = False
+    """The proof's tail bound on the isolated-vertex count I(n), from the
+    exact law: P(I(n) <= (1-a)n/8) <= 5 exp(-3(1-a)n/280) at every alpha of
+    the grid and every n <= 2000 where the bound is below 1, compared in
+    logs.  Then the forest sampler's counts against the same law."""
+    cells = violations = 0
+    worst = math.inf
+    for alpha in _ALPHA_GRID:
+        for n, logs in isolated_log_laws(alpha, 2000):
+            log_bound = math.log(5) - 3 * (1 - alpha) * n / 280
+            if log_bound >= 0:
+                continue
+            k = _tail_threshold(alpha, n)
+            slack = log_bound - float(np.logaddexp.reduce(logs[:k + 1]))
+            cells += 1
+            violations += slack < -1e-12
+            worst = min(worst, slack)
     r1 = CriterionResult(
         criterion="isolated-tails",
-        expected="empirical tail never exceeds 5 exp(-3(1-a)n/280)",
-        observed=(f"max (empirical - bound) = {worst_excess:.4f} "
-                  f"over 9 cells"),
-        tolerance="strict (1e5 trials per cell)",
-        passed=all_ok)
+        expected=("exact P(I(n) <= (1-a)n/8) <= 5 exp(-3(1-a)n/280), "
+                  "a = 0.1..0.9, every n <= 2000 with bound < 1"),
+        observed=(f"{violations} violations over {cells} cells, "
+                  f"min log-slack {worst:.2f}"),
+        tolerance="1e-12 in log",
+        passed=violations == 0)
 
+    trials = 10 ** 5
     n, alpha = 10, 0.5
     law = exact_isolated_distribution(alpha, n)
     rng = rngmod.stream(seed, 65)

@@ -70,6 +70,20 @@ def test_exact_artifact_quotes_keys_with_commas():
     assert math.isclose(sum(r[1] for r in rows), 1.0, abs_tol=1e-12)
 
 
+def test_axis_is_a_finite_law():
+    # uniform on +-1 in R^1: the second step undoes the first with
+    # probability (1 - alpha) / 2
+    data = render_bytes(["exact", "--group", "rd:1", "--alpha", "0.5",
+                         "--mu", "axis", "--n", "2"])
+    by_key = {r[0]: r[1] for r in parse_csv(data)[2]}
+    assert sorted(by_key) == ["(-2.0)", "(0.0)", "(2.0)"]
+    assert math.isclose(by_key["(0.0)"], 0.25, abs_tol=1e-15)
+    axis = mu_from_cli("axis", EuclideanRd(2))
+    assert not axis.is_continuous
+    assert sorted(axis.support) == [((-1.0, 0.0), 0.25), ((0.0, -1.0), 0.25),
+                                    ((0.0, 1.0), 0.25), ((1.0, 0.0), 0.25)]
+
+
 def test_poly_lambda_rows():
     data = render_bytes(["poly", "lambda", "--alpha", "0.5", "--nmax", "6"])
     _, columns, rows = parse_csv(data)
@@ -239,6 +253,15 @@ def test_refused_simulate_inputs_exit_with_an_error(capsys):
         assert err.startswith("error: simulate: ") and reason in err
         with pytest.raises(CliError, match=reason):
             render_bytes(argv)
+
+
+def test_non_finite_rd_atoms_exit_with_an_error(capsys):
+    argv = ["simulate", "--group", "rd:1", "--alpha", "0.5",
+            "--mu", '[["(nan)", 1.0]]', "--n", "4", "--trials", "10",
+            "--target", "e", "--seed", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --mu: ") and "non-finite" in err
 
 
 def test_horizons_below_one_exit_with_an_error(capsys):

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from srrw import estimators, fastpaths, verify
-from srrw.estimators import (ball_curve, isolated_tail_check, mc_escape_rate,
-                             mc_histogram, mc_point_mass, point_mass_curve,
-                             rate_fit)
+from srrw.estimators import (ball_curve, mc_escape_rate, mc_histogram,
+                             mc_point_mass, point_mass_curve, rate_fit)
 from srrw.groups import (CycleZL, EuclideanRd, IntegerLatticeZd, LamplighterZ,
                          RegularTreeFree, StepDistribution)
 from srrw.oracle import exact_distribution
@@ -104,18 +103,6 @@ def test_rate_fit_weighting_downplays_noisy_points():
                           ci_low=1e-9, ci_high=1.0, trials=100))
     fit = rate_fit(pts + [wild], "power")
     assert abs(fit.slope + 1.0) < 1e-3
-
-
-def test_isolated_tail_check_fields_and_pass():
-    res = isolated_tail_check(0.5, [400, 600], 20000, seed=17)
-    assert [r.n for r in res] == [400, 600]
-    for r in res:
-        assert r.threshold == 0.5 * r.n / 8
-        assert r.bound == min(1.0, 5.0 * math.exp(-3 * 0.5 * r.n / 280))
-        assert r.bound < 1.0
-        assert r.passed
-        # far below the mean isolated count, so nothing should land there
-        assert r.estimate.value <= r.bound
 
 
 def test_class_function_decay_slope_iid_line():

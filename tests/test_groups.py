@@ -299,6 +299,16 @@ def test_euclidean_atoms_in_one_unit_cell_stay_distinct():
         StepDistribution(support=[((0.2,), 0.5), ((0.2,), 0.5)]).validate(g)
 
 
+def test_euclidean_refuses_non_finite_coordinates():
+    g = EuclideanRd(1)
+    for text in ("(nan)", "(inf)", "(-inf)"):
+        with pytest.raises(ValueError, match="non-finite"):
+            g.parse_element(text)
+    with pytest.raises(ValueError, match="non-finite"):
+        StepDistribution(support=[((math.nan,), 0.5),
+                                  ((math.nan,), 0.5)]).validate(g)
+
+
 def test_fraction_weights_validate():
     # exact rational weights are accepted as-is; several modules rely on it
     g = CycleZL(2)

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from srrw.elephant import lambda_table, signed_position_law
@@ -12,7 +13,7 @@ from srrw.groups import (CycleZL, IntegerLatticeZd, RegularTreeFree,
                          StepDistribution)
 from srrw.oracle import (exact_distribution, exact_isolated_distribution,
                          iid_convolution, isolated_distribution_bruteforce,
-                         tv_distance)
+                         isolated_log_laws, tv_distance)
 from srrw.sampler import HistoryDependent, IidSign, Negation, SrrwConfig
 
 Z2_MU = StepDistribution(support=[(0, 0.5), (1, 0.5)])
@@ -129,6 +130,29 @@ def test_isolated_law_exact_sums_to_one():
     # not a constraint; instead check the extremes
     assert law[15] == Fraction(5, 7) ** 14
     assert min(law) == 0
+
+
+def test_isolated_log_route_matches_the_fraction_route():
+    for alpha in (0.0, 0.25, 0.5, 0.7, 1.0):
+        for n, logs in isolated_log_laws(alpha, 40):
+            law = exact_isolated_distribution(alpha, n, exact=True)
+            assert len(logs) == n + 1
+            for i, log_p in enumerate(logs):
+                if i not in law:
+                    assert log_p == -math.inf, (alpha, n, i)
+                else:
+                    assert math.isclose(math.exp(log_p), law[i],
+                                        rel_tol=1e-12), (alpha, n, i)
+
+
+def test_isolated_log_tail_at_alpha_half_n_500():
+    # P(I(500) <= 31) at alpha = 1/2, the cell (1 - alpha) n / 8 = 31.25
+    for _, logs in isolated_log_laws(0.5, 500):
+        pass
+    tail = math.exp(np.logaddexp.reduce(logs[:32]))
+    assert math.isclose(tail, 2.488e-42, rel_tol=1e-3)
+    with pytest.raises(ValueError):
+        next(isolated_log_laws(0.5, 0))
 
 
 def test_isolated_law_degenerate_alphas():

@@ -1,5 +1,5 @@
-"""Verify rows on their own terms: no clock, and the fitted-decay rule on
-synthetic curves, with no Monte Carlo.
+"""Verify rows on their own terms: no clock, the fitted-decay rule on
+synthetic curves, with no Monte Carlo, and the isolated-tails threshold.
 
 A row must read the same, and reach the same verdict, however fast the host
 runs.  Every fitted decay row passes iff the whole 95% CI of its fitted
@@ -13,9 +13,11 @@ horizons to fit.
 import math
 import time
 
+import numpy as np
 import pytest
 
 from srrw import estimators, verify
+from srrw.oracle import isolated_log_laws
 from srrw.stats import Estimate, binomial_estimate
 
 NS = [64, 128, 256, 512, 1024]
@@ -191,3 +193,16 @@ def test_rows_do_not_depend_on_the_clock(monkeypatch):
     slow = _rows_under_clock(monkeypatch, 40.0)
     assert all(r.passed for r in fast + slow)
     assert [r.as_json() for r in fast] == [r.as_json() for r in slow]
+
+
+@pytest.mark.parametrize("alpha, n, k, tail", [
+    # the float product (1 - 0.8) * 200 / 8 is 4.999999999999999, which
+    # would leave out I = 5 and read a tail of 1.97e-6
+    (0.8, 200, 5, 9.548e-6),
+    (0.9, 2000, 25, 3.274e-21)])
+def test_isolated_tail_threshold_floors_the_decimal_alpha(alpha, n, k, tail):
+    assert verify._tail_threshold(alpha, n) == k
+    for _, logs in isolated_log_laws(alpha, n):
+        pass
+    assert math.isclose(math.exp(np.logaddexp.reduce(logs[:k + 1])), tail,
+                        rel_tol=1e-3)

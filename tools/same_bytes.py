@@ -6,11 +6,11 @@ REV (default HEAD) is written to a temporary directory with ``git archive``;
 the change is this working tree as it stands, edits included.  In each tree,
 one fresh process runs every ``srrw verify`` suite alone at seed 1729 and
 keeps each row's ``as_json()``, then renders each argv list in ``ARGVS``
-with ``cli.render_bytes``.  The two processes run side by side, each with
-``--threads N`` (default 1).  The tool prints every item that differs or
-exists on one side only, with the first line where the two texts part on
-each side (a verify row is one line of JSON), and exits with status 1 if
-there is one, else 0.
+with ``cli.render_bytes``, or records ``error: ...`` where the CLI refuses
+it.  The two processes run side by side, each with ``--threads N``
+(default 1).  The tool prints every item that differs or exists on one side
+only, with the first line where the two texts part on each side (a verify
+row is one line of JSON), and exits with status 1 if there is one, else 0.
 """
 
 from __future__ import annotations
@@ -66,6 +66,9 @@ ARGVS = (
         "--n", "3"],
        ["exact", "--group", "cycle:5", "--alpha", "0.5", "--mu", "pm1",
         "--transform", "negation", "--n", "5"]]
+    # R^d input checks: the finite axis law, and a law R^d refuses
+    + [["exact", "--group", "rd:1", "--alpha", "0.5", "--mu", mu, "--n", "2"]
+       for mu in ("axis", '[["(nan)", 1.0]]')]
     + [_evoset("trace", "cycle:5", "pm1"),
        _evoset("trace", "lattice:2", "lazy"),
        _evoset("profile", "z2", "lazy")]
@@ -74,7 +77,8 @@ ARGVS = (
 
 
 def collect(threads: int) -> dict:
-    """{item name: row JSON or artifact text} for the srrw on sys.path."""
+    """{item name: row JSON, artifact text or ``error: ...``} for the srrw
+    on sys.path."""
     from srrw import cli, verify
 
     out = {}
@@ -82,8 +86,11 @@ def collect(threads: int) -> dict:
         for row in verify.run_suites([suite], seed=SEED, threads=threads):
             out[f"verify {row.criterion}"] = json.dumps(row.as_json())
     for argv in ARGVS:
-        data = cli.render_bytes(argv + ["--threads", str(threads)])
-        out["srrw " + " ".join(argv)] = data.decode()
+        try:
+            text = cli.render_bytes(argv + ["--threads", str(threads)]).decode()
+        except cli.CliError as ex:
+            text = f"error: {ex}"
+        out["srrw " + " ".join(argv)] = text
     return out
 
 
