@@ -24,8 +24,7 @@ from .estimators import ball_curve, point_mass_curve
 from .evolving import (doob_step, iso_profile, kernel_seq_from_forest,
                        psi_profile)
 from .forest import assign_and_assemble, grow
-from .groups import (CycleZL, EuclideanRd, Group, IntegerLatticeZd,
-                     StepDistribution, group_from_literal)
+from .groups import Group, StepDistribution, group_from_literal
 from .oracle import exact_distribution
 from .sampler import SrrwConfig, transform_from_literal
 
@@ -35,33 +34,15 @@ class CliError(Exception):
 
 
 def mu_from_cli(text: str, group: Group) -> StepDistribution:
-    """Parse a step-law literal.
-
-    Shorthand names: ``lazy`` (half mass at the identity), ``gens`` (uniform
-    on the standard generators), ``letters`` (tree alias of gens), ``pm1``
-    (uniform on +-1 for cycles); on R^d, ``axis`` (uniform on the 2d atoms
-    +-e_i) and the continuous families ``gaussian`` and ``sphere``;
-    otherwise a Python list of [element, weight] pairs.
-    """
+    """Parse a step-law literal: a shorthand name of
+    ``StepDistribution.from_literal``, or a Python list of [element, weight]
+    pairs.  A refused literal raises ``CliError`` naming ``--mu``."""
     text = text.strip()
-    if text == "lazy":
-        return StepDistribution.lazy(group).validate(group)
-    if text in ("gens", "letters"):
-        return StepDistribution.uniform(group.generators()).validate(group)
-    if text == "pm1":
-        if not isinstance(group, CycleZL):
-            raise CliError("pm1 shorthand is for cyclic groups")
-        return StepDistribution.uniform(group.generators()).validate(group)
-    if isinstance(group, EuclideanRd) and text == "axis":
-        units = IntegerLatticeZd(group.d).generators()
-        return StepDistribution.uniform(
-            [tuple(map(float, u)) for u in units]).validate(group)
-    if isinstance(group, EuclideanRd) and text in ("gaussian", "sphere"):
-        return StepDistribution(family=text).validate(group)
-    if text.startswith("["):
-        pairs = ast.literal_eval(text)
-        return StepDistribution.from_literal(pairs, group)
-    raise ValueError(f"unrecognized step-law literal {text!r}")
+    try:
+        spec = ast.literal_eval(text) if text.startswith("[") else text
+        return StepDistribution.from_literal(spec, group)
+    except (ValueError, TypeError, SyntaxError) as ex:
+        raise CliError(f"--mu: {ex}")
 
 
 def _parse_list(text: str, flag: str, kind=int):
@@ -82,12 +63,7 @@ def _build_config(args) -> SrrwConfig:
         group = group_from_literal(args.group)
     except (ValueError, TypeError) as ex:
         raise CliError(f"--group: {ex}")
-    try:
-        mu = mu_from_cli(args.mu, group)
-    except CliError:
-        raise
-    except (ValueError, TypeError, SyntaxError) as ex:
-        raise CliError(f"--mu: {ex}")
+    mu = mu_from_cli(args.mu, group)
     try:
         transform = transform_from_literal(args.transform)
     except (ValueError, TypeError, SyntaxError) as ex:

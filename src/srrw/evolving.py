@@ -14,10 +14,11 @@ the martingale defect integrate over it, ``doob_step`` size-biases it,
 ``set_tree`` enumerates it, and ``mask_tables`` tabulates it for the one
 Monte Carlo sampler of the chain, ``fastpaths.masked_set_walk``.
 
-The pieces are exact: step weights are floats, floats are rationals, and the
-pieces are computed in Fraction arithmetic, so the martingale identity
-sum_i len_i |A_i| = |W| holds to machine equality rather than within a
-tolerance.
+The pieces are exact: step weights are floats, floats are dyadic rationals,
+and the mass profile is computed in integers over their common power-of-two
+denominator, so the martingale identity sum_i len_i |A_i| = |W| holds to
+machine equality rather than within a tolerance.  ``step_pieces`` hands the
+lengths out as Fractions; psi and the martingale defect read the integers.
 """
 
 from __future__ import annotations
@@ -94,20 +95,32 @@ def kernel_seq_from_forest(forest: PercolatedForest, config: SrrwConfig,
     return KernelSeq(group=config.group, mu=config.mu, tags=tags)
 
 
-def _exact_weights(mu: StepDistribution) -> list:
-    # Float weights are rationals; lifting them to Fractions makes every
-    # threshold sum exact.
-    return [(e, Fraction(w)) for e, w in mu.support]
+def mass_profile(group: Group, mu: StepDistribution, W) -> tuple:
+    """Q(y) = sum over x in W of mu(x^-1 y), exact, as ``(den, q)``: q maps
+    each element to the integer Q(y) * den.
 
-
-def mass_profile(group: Group, mu: StepDistribution, W) -> dict:
-    """Q(y) = sum over x in W of mu(x^-1 y), exact, as element -> Fraction."""
+    Float weights are dyadic rationals, so den, the least common multiple
+    of their denominators, is the largest of them, a power of two.
+    """
+    ratios = [(s, w.as_integer_ratio()) for s, w in mu.support]
+    den = math.lcm(*(d for _, (_, d) in ratios))
+    steps = [(s, p * (den // d)) for s, (p, d) in ratios]
     q: dict = {}
     for x in W:
-        for s, w in _exact_weights(mu):
+        for s, p in steps:
             y = group.multiply(x, s)
-            q[y] = q.get(y, Fraction(0)) + w
-    return q
+            q[y] = q.get(y, 0) + p
+    return den, q
+
+
+def _mu_pieces(group: Group, mu: StepDistribution, W) -> tuple:
+    """The mu-step of ``step_pieces`` from a nonempty W as ``(den,
+    [(numerator, set)])``: each length is numerator / den."""
+    den, q = mass_profile(group, mu, W)
+    levels = sorted(set(q.values()), reverse=True)
+    pieces = [(lvl - nxt, {y for y, v in q.items() if v >= lvl})
+              for lvl, nxt in zip(levels, levels[1:] + [0])]
+    return den, pieces + [(den - levels[0], set())]
 
 
 def step_pieces(group: Group, mu: StepDistribution, W, kernel) -> list:
@@ -124,11 +137,8 @@ def step_pieces(group: Group, mu: StepDistribution, W, kernel) -> list:
         return [(Fraction(1), set())]
     if isinstance(kernel, DeterministicStep):
         return [(Fraction(1), {group.multiply(x, kernel.g) for x in W})]
-    q = mass_profile(group, mu, W)
-    levels = sorted(set(q.values()), reverse=True)
-    pieces = [(lvl - nxt, {y for y, v in q.items() if v >= lvl})
-              for lvl, nxt in zip(levels, levels[1:] + [Fraction(0)])]
-    return pieces + [(1 - levels[0], set())]
+    den, pieces = _mu_pieces(group, mu, W)
+    return [(Fraction(n, den), a) for n, a in pieces]
 
 
 def martingale_defect(group: Group, mu: StepDistribution, W) -> Fraction:
@@ -136,8 +146,8 @@ def martingale_defect(group: Group, mu: StepDistribution, W) -> Fraction:
     valid decomposition."""
     if not W:
         raise ValueError("empty current set")
-    pieces = step_pieces(group, mu, W, MuStep())
-    return sum((l * len(a) for l, a in pieces), Fraction(0)) - len(W)
+    den, pieces = _mu_pieces(group, mu, W)
+    return Fraction(sum(n * len(a) for n, a in pieces) - len(W) * den, den)
 
 
 def psi(group: Group, mu: StepDistribution, W) -> float:
@@ -145,12 +155,13 @@ def psi(group: Group, mu: StepDistribution, W) -> float:
 
     Exact integration over ``step_pieces``: the uniform variable lands in
     piece i with probability equal to its length, producing the piece's
-    set; the empty tail contributes zero.
+    set; the empty tail contributes zero.  Each length is one correctly
+    rounded integer division, as ``float`` of its Fraction is.
     """
     if not W:
         raise ValueError("empty current set")
-    pieces = step_pieces(group, mu, W, MuStep())
-    total = sum(float(l) * math.sqrt(len(a)) for l, a in pieces)
+    den, pieces = _mu_pieces(group, mu, W)
+    total = sum(n / den * math.sqrt(len(a)) for n, a in pieces)
     return 1.0 - total / math.sqrt(len(W))
 
 

@@ -530,22 +530,32 @@ def lamplighter_origin_hits(alpha: float, weights, checkpoints, trials: int,
 
     Atom order is fixed: stay, toggle, marker +1, marker -1 with the given
     weights.  Lamp states live in a boolean window wide enough for the
-    horizon, so every configuration is tracked exactly.
+    horizon, so every configuration is tracked exactly.  The window is
+    stored site-major and flat, lamp (site, row) at ``site * m + row``, as
+    the tree's letter stack is, and each row's marker is the flat index of
+    the lamp under it: a step moves it by a multiple of m, and a toggle
+    flips the lamps of the toggling rows with one gather and one scatter.
     """
     off = max(int(c) for c in checkpoints)  # marker stays within +-off
 
     def start(m):
         rows = np.arange(m)
-        lamps = np.zeros((m, 2 * off + 1), dtype=bool)
-        marker = np.zeros(m, dtype=np.int64)
+        lamps = np.zeros((2 * off + 1) * m, dtype=bool)
+        home = off * m + rows
+        marker = home.copy()
+        move = np.array([0, 0, m, -m], dtype=np.intp)
 
         def apply(col):
             nonlocal marker
-            t = col == 1
-            lamps[rows[t], marker[t] + off] ^= True
-            marker = marker + (col == 2) - (col == 3)
+            lit = marker.compress(col == 1)
+            lamps.put(lit, ~lamps.take(lit))
+            marker = marker + move.take(col)
 
-        return apply, lambda: ((marker == 0) & ~lamps.any(axis=1)).sum()
+        def observe():
+            dark = ~lamps.reshape(2 * off + 1, m).any(axis=0)
+            return (dark & (marker == home)).sum()
+
+        return apply, observe
 
     return _counts(_replay_sums(_atom_law(weights), alpha, checkpoints, start,
                                 trials, seed, threads, 50, 1 << 14, replay,

@@ -528,9 +528,19 @@ class StepDistribution:
 
     @classmethod
     def from_literal(cls, spec, group: Group) -> "StepDistribution":
-        """Parse ``[["a", 0.5], ["b", 0.5]]`` pairs, or a family name for R^d."""
+        """Parse ``[["a", 0.5], ["b", 0.5]]`` pairs, or a shorthand name.
+
+        Shorthands: ``lazy`` (``StepDistribution.lazy``), ``gens`` (uniform
+        on the standard generators), ``letters`` (tree alias of gens),
+        ``pm1`` (uniform on +-1, cycles only); on R^d, ``axis`` (uniform on
+        the 2d atoms +-e_i) and the continuous families ``gaussian`` and
+        ``sphere``.  A shorthand that does not fit the group raises
+        ``ValueError``.
+        """
         if isinstance(spec, str):
-            return cls(family=spec).validate(group)
+            if spec not in _SHORTHANDS:
+                raise ValueError(f"unrecognized step-law literal {spec!r}")
+            return _SHORTHANDS[spec](group).validate(group)
         support = [(group.parse_element(token), float(w)) for token, w in spec]
         return cls(support=support).validate(group)
 
@@ -538,6 +548,38 @@ class StepDistribution:
         if self.is_continuous:
             return f"StepDistribution(family={self.family!r})"
         return f"StepDistribution({len(self.support)} atoms)"
+
+
+def _uniform_generators(group: Group) -> StepDistribution:
+    try:
+        return StepDistribution.uniform(group.generators())
+    except NotImplementedError as ex:
+        raise ValueError(str(ex)) from None
+
+
+def _pm1(group: Group) -> StepDistribution:
+    if not isinstance(group, CycleZL):
+        raise ValueError("pm1 shorthand is for cyclic groups")
+    return StepDistribution.uniform(group.generators())
+
+
+def _axis(group: Group) -> StepDistribution:
+    if not isinstance(group, EuclideanRd):
+        raise ValueError("axis shorthand is for R^d")
+    units = IntegerLatticeZd(group.d).generators()
+    return StepDistribution.uniform([tuple(map(float, u)) for u in units])
+
+
+# The step-law shorthands of ``StepDistribution.from_literal``.
+_SHORTHANDS = {
+    "lazy": StepDistribution.lazy,
+    "gens": _uniform_generators,
+    "letters": _uniform_generators,
+    "pm1": _pm1,
+    "axis": _axis,
+    "gaussian": lambda group: StepDistribution(family="gaussian"),
+    "sphere": lambda group: StepDistribution(family="sphere"),
+}
 
 
 @dataclass

@@ -15,6 +15,7 @@ and ``pytest --durations`` times the acceptance gate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,9 +195,17 @@ def suite_decay_envelope(seed: int = DEFAULT_SEED, threads: int = 1):
         passed=violations == 0)]
 
 
+@functools.lru_cache(maxsize=len(_ALPHA_GRID))
+def _complement(alpha: float) -> tuple:
+    """(p, q) with p / q = 1 - alpha at alpha's decimal value, not its
+    float's."""
+    return (1 - Fraction(repr(alpha))).as_integer_ratio()
+
+
 def _tail_threshold(alpha: float, n: int) -> int:
-    """floor((1 - alpha) n / 8) at alpha's decimal value, not its float's."""
-    return math.floor((1 - Fraction(repr(alpha))) * n / 8)
+    """floor((1 - alpha) n / 8) at alpha's decimal value, in integers."""
+    p, q = _complement(alpha)
+    return p * n // (8 * q)
 
 
 def suite_isolated(seed: int = DEFAULT_SEED, threads: int = 1):

@@ -7,7 +7,9 @@ import pytest
 
 from srrw.cli import CliError, main, mu_from_cli, render_bytes
 from srrw.elephant import cycle_distribution, eval_stable, z2_return_gap
-from srrw.groups import CycleZL, EuclideanRd, group_from_literal
+from srrw.groups import (CycleZL, EuclideanRd, IntegerLatticeZd, LamplighterZ,
+                         RegularTreeFree, S3xZ, StepDistribution,
+                         group_from_literal)
 from srrw.reports import VERSION, parse_csv
 
 
@@ -348,8 +350,42 @@ def test_mu_literals():
     assert gauss.family == "gaussian"
     with pytest.raises(CliError):
         mu_from_cli("pm1", group_from_literal("lattice:2"))
-    with pytest.raises(ValueError):
+    with pytest.raises(CliError, match="--mu"):
         mu_from_cli("mystery", g)
+
+
+# Each shorthand and the groups it fits, by type name.
+SHORTHAND_GROUPS = {
+    "lazy": {"CycleZL", "IntegerLatticeZd", "LamplighterZ"},
+    "gens": {"CycleZL", "IntegerLatticeZd", "RegularTreeFree", "LamplighterZ",
+             "S3xZ"},
+    "letters": {"CycleZL", "IntegerLatticeZd", "RegularTreeFree",
+                "LamplighterZ", "S3xZ"},
+    "pm1": {"CycleZL"},
+    "axis": {"EuclideanRd"},
+    "gaussian": {"EuclideanRd"},
+    "sphere": {"EuclideanRd"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORTHAND_GROUPS))
+def test_library_and_cli_shorthands_build_the_same_law(name):
+    # the library literal and the --mu shorthand name one law, and refuse
+    # the same groups, the CLI with an error naming --mu
+    accepted = set()
+    for group in (CycleZL(2), CycleZL(6), IntegerLatticeZd(1),
+                  IntegerLatticeZd(3), RegularTreeFree(3), LamplighterZ(),
+                  S3xZ(), EuclideanRd(1), EuclideanRd(2)):
+        try:
+            lib = StepDistribution.from_literal(name, group)
+        except ValueError:
+            with pytest.raises(CliError, match="--mu"):
+                mu_from_cli(name, group)
+            continue
+        cli = mu_from_cli(f" {name} ", group)
+        assert (cli.support, cli.family) == (lib.support, lib.family)
+        accepted.add(type(group).__name__)
+    assert accepted == SHORTHAND_GROUPS[name]
 
 
 def test_bad_walk_flags():

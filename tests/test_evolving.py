@@ -30,11 +30,54 @@ def lazy_on(L):
 
 
 def test_mass_profile_values():
-    q = mass_profile(Z, LAZY, {(0,), (1,)})
-    assert q[(0,)] == Fraction(3, 4)
-    assert q[(1,)] == Fraction(3, 4)
-    assert q[(-1,)] == Fraction(1, 4)
-    assert q[(2,)] == Fraction(1, 4)
+    # integer numerators over the weights' common denominator
+    den, q = mass_profile(Z, LAZY, {(0,), (1,)})
+    assert den == 4
+    assert q == {(0,): 3, (1,): 3, (-1,): 1, (2,): 1}
+    den, q = mass_profile(Z, StepDistribution(support=[((1,), 0.3),
+                                                       ((-1,), 0.7)]),
+                          {(0,)})
+    assert den == 2 ** 54
+    assert [Fraction(q[x], den) for x in ((1,), (-1,))] == [Fraction(0.3),
+                                                             Fraction(0.7)]
+
+
+def fraction_pieces(group, mu, W):
+    """Reference mu-step: every weight lifted to a Fraction and the mass
+    profile summed, leveled and cut in Fraction arithmetic."""
+    q = {}
+    for x in W:
+        for s, w in mu.support:
+            y = group.multiply(x, s)
+            q[y] = q.get(y, Fraction(0)) + Fraction(w)
+    levels = sorted(set(q.values()), reverse=True)
+    pieces = [(lvl - nxt, {y for y, v in q.items() if v >= lvl})
+              for lvl, nxt in zip(levels, levels[1:] + [Fraction(0)])]
+    return pieces + [(1 - levels[0], set())]
+
+
+NON_DYADIC = ([0.1, 0.2, 0.7], [0.3, 0.7], [1 / 3, 1 / 3, 1 / 3],
+              [0.5, 0.25, 0.25])
+
+
+@given(st.integers(min_value=3, max_value=12), st.data())
+@settings(max_examples=200, deadline=None)
+def test_integer_step_matches_the_fraction_reference(L, data):
+    # pieces, martingale defect and psi equal the Fraction route bit for bit
+    weights = data.draw(st.sampled_from(NON_DYADIC))
+    moves = data.draw(st.lists(st.integers(0, L - 1), min_size=len(weights),
+                               max_size=len(weights), unique=True))
+    W = data.draw(st.sets(st.integers(0, L - 1), min_size=1))
+    g = CycleZL(L)
+    mu = StepDistribution(support=list(zip(moves, weights)))
+    ref = fraction_pieces(g, mu, W)
+    pieces = step_pieces(g, mu, W, MuStep())
+    assert pieces == ref
+    assert all(type(length) is Fraction for length, _ in pieces)
+    defect = sum((l * len(a) for l, a in ref), Fraction(0)) - len(W)
+    assert martingale_defect(g, mu, W) == defect
+    root = sum(float(l) * math.sqrt(len(a)) for l, a in ref)
+    assert psi(g, mu, W).hex() == (1.0 - root / math.sqrt(len(W))).hex()
 
 
 def test_psi_singleton_value():

@@ -148,15 +148,22 @@ def test_s3z_engine_vs_exact():
 
 
 def test_lamplighter_engine_vs_exact():
+    # a toggle-heavy law lights lamps away from home, so the window's
+    # gather and scatter are checked at every horizon of one pass
     g = LamplighterZ()
     e = g.identity()
     mu = StepDistribution(support=[
-        ((frozenset(), 0), 0.25), ((frozenset([0]), 0), 0.25),
-        ((frozenset(), 1), 0.25), ((frozenset(), -1), 0.25)])
-    cfg = SrrwConfig(group=g, alpha=0.4, mu=mu)
-    dist = exact_distribution(cfg, 5)
-    est = mc_point_mass(cfg, 5, e, 40000, SEED)
-    assert abs(z_score(est, dist.prob(e))) < 4
+        (e, 0.15), ((frozenset([0]), 0), 0.55),
+        ((frozenset(), 1), 0.15), ((frozenset(), -1), 0.15)])
+    # the branching enumeration at alpha = 0.4 and n = 8 takes about 17 s
+    for alpha, ns in ((0.0, [2, 4, 6, 8]), (0.4, [2, 4, 6])):
+        cfg = SrrwConfig(group=g, alpha=alpha, mu=mu)
+        for n, est in point_mass_curve(cfg, ns, e, 40000, SEED):
+            exact = exact_distribution(cfg, n).prob(e)
+            assert abs(z_score(est, exact)) < 4, (alpha, n)
+    uniform = SrrwConfig(group=g, alpha=0.4, mu=StepDistribution.lazy(g))
+    est = mc_point_mass(uniform, 5, e, 40000, SEED)
+    assert abs(z_score(est, exact_distribution(uniform, 5).prob(e))) < 4
 
 
 def test_tree_engine_vs_exact():
