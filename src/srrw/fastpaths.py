@@ -38,7 +38,9 @@ and of the walk state that grows with the horizon (the lamplighter's lamp
 window, the tree's letter stack); a longer horizon runs in smaller chunks,
 and one that does not fit a single trial raises.  Results are merged in
 chunk order, so counts are identical for any thread count and any
-scheduling.  Changing this protocol changes every count.
+scheduling.  Changing this protocol changes every count, and so does
+changing the bit generator behind ``rng.stream``: the same protocol over
+other bits gives other counts.
 
 Everything here returns integer counts (or integer sums); turning counts into
 estimates with intervals happens one level up.
@@ -93,6 +95,15 @@ def _chunk_map(worker, trials: int, chunk: int, threads: int):
         return [worker(i, m) for i, m in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(worker, range(len(sizes)), sizes))
+
+
+def _budget_rows(chunk: int, per_trial: int, need: str) -> int:
+    """``chunk`` cut to the trials whose ``per_trial`` bytes fit in
+    ``_CODE_BUDGET``; raises when not even one trial's do, with ``need``
+    saying what the bytes hold."""
+    if per_trial > _CODE_BUDGET:
+        raise ValueError(f"{need}, over the {_CODE_BUDGET}-byte budget")
+    return min(chunk, _CODE_BUDGET // per_trial)
 
 
 def _code_dtype(atoms: int):
@@ -208,11 +219,9 @@ def _replay_sums(law: _Law, alpha: float, checkpoints, start, trials: int,
     marks = set(cps)
     per_trial = (cps[-1] * np.dtype(law.dtype).itemsize * math.prod(law.row)
                  + state)
-    if per_trial > _CODE_BUDGET:
-        raise ValueError(f"{cps[-1]} steps need {per_trial} bytes of codes "
-                         f"per trial (state included), over the "
-                         f"{_CODE_BUDGET}-byte budget")
-    chunk = min(chunk, _CODE_BUDGET // per_trial)
+    chunk = _budget_rows(chunk, per_trial,
+                         f"{cps[-1]} steps need {per_trial} bytes of codes "
+                         f"per trial (state included)")
     hook = None if replay is None else _table_hook(*replay)
 
     def worker(ci: int, m: int) -> np.ndarray:
@@ -242,7 +251,8 @@ def cyclic_histogram(L: int, alpha: float, atoms, weights, n: int,
     blocks of root draws instead of replaying steps; the two routes have the
     same law and give the distributional triangle its second corner.  A
     cluster shares its root's draw only under identity replay, so the
-    forest route refuses a ``replay`` table.
+    forest route refuses a ``replay`` table.  Its (trials x n) uniforms,
+    values and roots count against ``_CODE_BUDGET`` as codes do.
     """
     atoms = np.asarray(atoms, dtype=np.int64)
     law = _atom_law(weights)
@@ -250,6 +260,12 @@ def cyclic_histogram(L: int, alpha: float, atoms, weights, n: int,
         if replay is not None:
             raise ValueError("the forest route replays steps unchanged")
         _horizons([n], trials)
+        # per step: a float64 uniform, an int64 atom value and an int64
+        # gathered value; per vertex: the int32 roots and their shifted copy
+        per_trial = 24 * n + 8 * (n + 1)
+        chunk = _budget_rows(1 << 16, per_trial,
+                             f"{n} forest steps need {per_trial} bytes per "
+                             f"trial")
 
         def worker(ci: int, m: int) -> np.ndarray:
             rng = rngmod.stream(seed, 11, ci)
@@ -258,7 +274,7 @@ def cyclic_histogram(L: int, alpha: float, atoms, weights, n: int,
             pos = np.take_along_axis(vals, root[:, 1:] - 1, axis=1).sum(axis=1)
             return np.bincount(pos % L, minlength=L)
 
-        return np.sum(_chunk_map(worker, trials, 1 << 16, threads), axis=0)
+        return np.sum(_chunk_map(worker, trials, chunk, threads), axis=0)
 
     def start(m):
         pos = np.zeros(m, dtype=np.int64)
@@ -468,18 +484,21 @@ def s3z_target_hits(alpha: float, atoms, weights, checkpoints, target,
     integer) pairs; the walk state is one permutation index and one integer
     per trial.
     """
-    ap = np.array([_S3_INDEX[g[0]] for g in atoms], dtype=np.int8)
+    ap = [_S3_INDEX[g[0]] for g in atoms]
     az = np.array([g[1] for g in atoms], dtype=np.int64)
     target_perm, target_z = _S3_INDEX[target[0]], target[1]
+    # mult[p * width + c]: the index of permutation p times atom c's
+    width = len(ap)
+    mult = _S3_MULT[:, ap].astype(np.intp).ravel()
 
     def start(m):
-        perm = np.zeros(m, dtype=np.int8)
+        perm = np.zeros(m, dtype=np.intp)
         z = np.zeros(m, dtype=np.int64)
 
         def apply(col):
             nonlocal perm, z
-            perm = _S3_MULT[perm, ap[col]]
-            z = z + az[col]
+            perm = mult.take(perm * width + col)
+            z += az.take(col)
 
         return apply, lambda: ((perm == target_perm) & (z == target_z)).sum()
 

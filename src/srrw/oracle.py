@@ -2,7 +2,9 @@
 
 Ground truth for everything else: enumerate all of the walk's randomness
 (retention flags, past picks, fresh draws, transformation coins) with exact
-probability weights and accumulate the law of the endpoint.  With the
+probability weights and accumulate the law of the endpoint.  The rest of a
+walk depends only on its steps so far, so all outcomes that give the same
+next step merge into one branch before the enumeration descends.  With the
 identity transform on an abelian group the endpoint depends only on how many
 steps took each atom of mu, and those counts form an urn, so a polynomial
 chain over count vectors reaches horizons the raw tree cannot.  The
@@ -16,6 +18,7 @@ values of the float inputs) to certify the double-precision results.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,10 +100,11 @@ def exact_distribution(config: SrrwConfig, n: int,
 
     Identity transforms on an abelian group run the type-count urn, whose
     state count grows like n^(k-1) for k atoms, and take any modest n;
-    everything else walks the full branching tree and is capped at
-    ``DFS_CAP`` (8) steps.  With ``exact=True`` all weights are Fractions
-    built from the exact binary values of the float parameters, certifying
-    the float accumulation.
+    everything else walks the tree of step sequences, one branch per
+    distinct next step, and is capped at ``DFS_CAP`` (8) steps;
+    ``enumeration_count`` counts its leaves.  With ``exact=True`` all
+    weights are Fractions built from the exact binary values of the float
+    parameters, certifying the float accumulation.
     """
     if config.mu.is_continuous:
         raise ValueError("exact law needs a finite-support mu")
@@ -137,18 +141,21 @@ def _exact_dfs(config: SrrwConfig, n: int, exact: bool) -> ExactDistribution:
         if j > n:
             record(w)
             return
+        law: dict = {}  # step j's value -> its weight, picks and atoms merged
         if j >= 2 and alpha > 0:
             history = WalkTrace(group=g, steps=steps, positions=positions,
                                 reinforcement_flags=[], picks=[])
-            for u in range(1, j):
-                pushed = tf.push_point(g, mu, j, steps[u - 1], history=history)
-                for y, pw in pushed:
+            for x, k in Counter(steps).items():
+                for y, pw in tf.push_point(g, mu, j, x, history=history):
                     pw = Fraction(pw) if exact else pw
-                    descend(j, y, w * alpha * pw / (j - 1))
+                    law[y] = law.get(y, 0) + alpha * k * pw / (j - 1)
         fresh = one - alpha if j >= 2 else one
         if fresh > 0:
             for e, pw in mu_atoms:
-                descend(j, e, w * fresh * pw)
+                law[e] = law.get(e, 0) + fresh * pw
+        for y, p in law.items():
+            if p > 0:
+                descend(j, y, w * p)
 
     def descend(j, x, w):
         steps.append(x)

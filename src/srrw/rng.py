@@ -1,9 +1,13 @@
-"""Splittable counter-based random streams.
+"""Splittable random streams.
 
-All randomness flows through Philox generators keyed by an integer seed plus a
-path of integer identifiers.  Distinct paths give statistically independent
-streams, so trial t of a Monte Carlo run can use ``stream(seed, tag, t)`` and
-produce the same numbers no matter how trials are scheduled across threads.
+All randomness flows through SFC64 generators keyed by an integer seed plus
+a path of integer identifiers: ``SeedSequence([seed, len(path), *path])``
+hashes the key into the generator's state.  SFC64 carries a 64-bit counter,
+so two distinct states do not run into each other for at least 2^64 draws,
+and distinct paths give statistically independent streams.  Trial t of a
+Monte Carlo run can use ``stream(seed, tag, t)`` and produce the same
+numbers no matter how trials are scheduled across threads.  SFC64 is chosen
+for speed; nothing here needs a counter-based generator's random access.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     # pool, so (tag,) and (tag, 0) would otherwise collide.
     entropy = ([int(seed) & _MASK, len(path)]
                + [int(p) & _MASK for p in path])
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
 
 
 def as_generator(seed_or_rng, *path: int) -> np.random.Generator:

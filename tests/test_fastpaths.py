@@ -155,10 +155,9 @@ def test_lamplighter_engine_vs_exact():
     mu = StepDistribution(support=[
         (e, 0.15), ((frozenset([0]), 0), 0.55),
         ((frozenset(), 1), 0.15), ((frozenset(), -1), 0.15)])
-    # the branching enumeration at alpha = 0.4 and n = 8 takes about 17 s
-    for alpha, ns in ((0.0, [2, 4, 6, 8]), (0.4, [2, 4, 6])):
+    for alpha in (0.0, 0.4):
         cfg = SrrwConfig(group=g, alpha=alpha, mu=mu)
-        for n, est in point_mass_curve(cfg, ns, e, 40000, SEED):
+        for n, est in point_mass_curve(cfg, [2, 4, 6, 8], e, 40000, SEED):
             exact = exact_distribution(cfg, n).prob(e)
             assert abs(z_score(est, exact)) < 4, (alpha, n)
     uniform = SrrwConfig(group=g, alpha=0.4, mu=StepDistribution.lazy(g))
@@ -424,6 +423,28 @@ def test_horizon_sized_state_counts_against_the_budget(monkeypatch):
         monkeypatch.setattr(fastpaths, "_CODE_BUDGET", n + state - 1)
         with pytest.raises(ValueError, match="state included"):
             engines[name](1)
+
+
+def test_forest_route_counts_against_the_budget(monkeypatch):
+    # 40 steps take 24 * 40 + 8 * 41 = 1288 bytes per trial: a budget of
+    # 100 trials cuts 250 trials into 3 chunks
+    n, per_trial = 40, 1288
+    real = rngmod.stream
+    keys = []
+    monkeypatch.setattr(rngmod, "stream",
+                        lambda *key: keys.append(key) or real(*key))
+    monkeypatch.setattr(fastpaths, "_CODE_BUDGET", 100 * per_trial)
+    hist = fastpaths.cyclic_histogram(5, 0.6, [1, 4], [0.5, 0.5], n, 250,
+                                      SEED, via_forest=True)
+    assert keys == [(SEED, 11, c) for c in range(3)]
+    assert hist.sum() == 250
+    # not even one trial fits: refused before any stream is opened
+    keys.clear()
+    monkeypatch.setattr(fastpaths, "_CODE_BUDGET", per_trial - 1)
+    with pytest.raises(ValueError, match="forest steps"):
+        fastpaths.cyclic_histogram(5, 0.6, [1, 4], [0.5, 0.5], n, 250, SEED,
+                                   via_forest=True)
+    assert keys == []
 
 
 def test_lattice_positions_past_the_packing_limit():
