@@ -33,11 +33,11 @@ divides by zero.  The forest's attachments (``forest._attachments``) use the
 same rule: one uniform keeps the edge and picks its target.
 
 Step codes are stored step-major, (n, m), in the smallest unsigned dtype
-that holds them, and a chunk holds at most ``_CODE_BUDGET`` bytes of them
-and of the walk state that grows with the horizon (the lamplighter's lamp
-window, the tree's letter stack); a longer horizon runs in smaller chunks,
-and one that does not fit a single trial raises.  Results are merged in
-chunk order, so counts are identical for any thread count and any
+that holds them, and a chunk holds at most ``forest._CODE_BUDGET`` bytes of
+them and of the walk state that grows with the horizon (the lamplighter's
+lamp window, the tree's letter stack); a longer horizon runs in smaller
+chunks, and one that does not fit a single trial raises.  Results are
+merged in chunk order, so counts are identical for any thread count and any
 scheduling.  Changing this protocol changes every count, and so does
 changing the bit generator behind ``rng.stream``: the same protocol over
 other bits gives other counts.
@@ -59,9 +59,6 @@ from . import forest
 from . import rng as rngmod
 from .groups import S3xZ, _S3_NAMES
 
-# Bytes of step codes (and horizon-sized state) one chunk may hold:
-# 2^16 trials x 1024 one-byte steps.
-_CODE_BUDGET = 64 << 20
 # Largest slot table a finite law is looked up in; beyond it, searchsorted.
 _MAX_SLOTS = 1024
 
@@ -95,15 +92,6 @@ def _chunk_map(worker, trials: int, chunk: int, threads: int):
         return [worker(i, m) for i, m in enumerate(sizes)]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(worker, range(len(sizes)), sizes))
-
-
-def _budget_rows(chunk: int, per_trial: int, need: str) -> int:
-    """``chunk`` cut to the trials whose ``per_trial`` bytes fit in
-    ``_CODE_BUDGET``; raises when not even one trial's do, with ``need``
-    saying what the bytes hold."""
-    if per_trial > _CODE_BUDGET:
-        raise ValueError(f"{need}, over the {_CODE_BUDGET}-byte budget")
-    return min(chunk, _CODE_BUDGET // per_trial)
 
 
 def _code_dtype(atoms: int):
@@ -212,16 +200,16 @@ def _replay_sums(law: _Law, alpha: float, checkpoints, start, trials: int,
     ``observe()`` counts (or sums) over the chunk's current positions.
     ``replay``, a (rows, weights) table as ``_table_hook`` takes it, moves
     each replayed code; without it a replayed code is kept.
-    Chunks hold at most ``chunk`` trials and ``_CODE_BUDGET`` bytes of codes
-    plus ``state``, each trial's bytes of horizon-sized walk state.
+    Chunks hold at most ``chunk`` trials and ``forest._CODE_BUDGET`` bytes
+    of codes plus ``state``, each trial's bytes of horizon-sized walk state.
     """
     cps = _horizons(checkpoints, trials)
     marks = set(cps)
     per_trial = (cps[-1] * np.dtype(law.dtype).itemsize * math.prod(law.row)
                  + state)
-    chunk = _budget_rows(chunk, per_trial,
-                         f"{cps[-1]} steps need {per_trial} bytes of codes "
-                         f"per trial (state included)")
+    chunk = forest._budget_rows(chunk, per_trial,
+                                f"{cps[-1]} steps need {per_trial} bytes of "
+                                f"codes per trial (state included)")
     hook = None if replay is None else _table_hook(*replay)
 
     def worker(ci: int, m: int) -> np.ndarray:
@@ -252,7 +240,7 @@ def cyclic_histogram(L: int, alpha: float, atoms, weights, n: int,
     same law and give the distributional triangle its second corner.  A
     cluster shares its root's draw only under identity replay, so the
     forest route refuses a ``replay`` table.  Its (trials x n) uniforms,
-    values and roots count against ``_CODE_BUDGET`` as codes do.
+    values and roots count against ``forest._CODE_BUDGET`` as codes do.
     """
     atoms = np.asarray(atoms, dtype=np.int64)
     law = _atom_law(weights)
@@ -263,9 +251,9 @@ def cyclic_histogram(L: int, alpha: float, atoms, weights, n: int,
         # per step: a float64 uniform, an int64 atom value and an int64
         # gathered value; per vertex: the int32 roots and their shifted copy
         per_trial = 24 * n + 8 * (n + 1)
-        chunk = _budget_rows(1 << 16, per_trial,
-                             f"{n} forest steps need {per_trial} bytes per "
-                             f"trial")
+        chunk = forest._budget_rows(1 << 16, per_trial,
+                                    f"{n} forest steps need {per_trial} "
+                                    f"bytes per trial")
 
         def worker(ci: int, m: int) -> np.ndarray:
             rng = rngmod.stream(seed, 11, ci)

@@ -25,6 +25,20 @@ from . import rng as rngmod
 from .sampler import SrrwConfig, WalkTrace, draw_step
 from .stats import Estimate, binomial_estimate
 
+# Bytes of horizon-sized arrays one chunk of trials may hold: the forest
+# matrices here, step codes and walk state in ``fastpaths``; 2^16 trials x
+# 1024 one-byte steps.
+_CODE_BUDGET = 64 << 20
+
+
+def _budget_rows(chunk: int, per_trial: int, need: str) -> int:
+    """``chunk`` cut to the trials whose ``per_trial`` bytes fit in
+    ``_CODE_BUDGET``; raises when not even one trial's do, with ``need``
+    saying what the bytes hold."""
+    if per_trial > _CODE_BUDGET:
+        raise ValueError(f"{need}, over the {_CODE_BUDGET}-byte budget")
+    return min(chunk, _CODE_BUDGET // per_trial)
+
 
 @dataclass
 class PercolatedForest:
@@ -171,11 +185,15 @@ def all_clusters_even_probability(alpha: float, n: int, trials: int,
     """Monte Carlo probability that every cluster has even size.
 
     Zero whenever n is odd (sizes sum to n); the even-n values match the
-    central coefficients of the elephant polynomials.
+    central coefficients of the elephant polynomials.  Chunks of at most
+    2^14 trials hold two int32 matrices over the vertices, charged to
+    ``_CODE_BUDGET``.
     """
     rng = rngmod.as_generator(rng_seed)
+    per_trial = 8 * (n + 1)
+    chunk = _budget_rows(1 << 14, per_trial, f"{n} forest vertices need "
+                         f"{per_trial} bytes of roots and sizes per trial")
     hits = 0
-    chunk = 1 << 14
     done = 0
     while done < trials:
         m = min(chunk, trials - done)
@@ -188,11 +206,20 @@ def isolated_counts_batch(n: int, alpha: float, trials: int, rng) -> np.ndarray:
     """Vectorized isolated-cluster counts over many grown forests.
 
     A vertex is isolated iff its own edge was dropped and no later vertex
-    kept an edge to it.
+    kept an edge to it.  Trials run in chunks, one after another on ``rng``,
+    whose two boolean matrices over the vertices fit in ``_CODE_BUDGET``.
     """
-    own_dropped = np.ones((trials, n + 1), dtype=bool)
-    has_kept_child = np.zeros((trials, n + 1), dtype=bool)
-    for j, _, kept, past in _attachments(n, alpha, trials, rng):
-        own_dropped[kept, j] = False
-        has_kept_child[kept, past + 1] = True
-    return (own_dropped[:, 1:] & ~has_kept_child[:, 1:]).sum(axis=1)
+    per_trial = 2 * (n + 1)
+    rows = _budget_rows(max(trials, 1), per_trial, f"{n} forest vertices "
+                        f"need {per_trial} bytes of flags per trial")
+    out = np.empty(trials, dtype=np.intp)
+    for lo in range(0, trials, rows):
+        m = min(rows, trials - lo)
+        own_dropped = np.ones((m, n + 1), dtype=bool)
+        has_kept_child = np.zeros((m, n + 1), dtype=bool)
+        for j, _, kept, past in _attachments(n, alpha, m, rng):
+            own_dropped[kept, j] = False
+            has_kept_child[kept, past + 1] = True
+        isolated = own_dropped[:, 1:] & ~has_kept_child[:, 1:]
+        isolated.sum(axis=1, out=out[lo:lo + m])
+    return out

@@ -1,17 +1,16 @@
-"""Brute-force exact distributions at small horizons.
+"""Exact distributions at small horizons.
 
-Ground truth for everything else: enumerate all of the walk's randomness
-(retention flags, past picks, fresh draws, transformation coins) with exact
-probability weights and accumulate the law of the endpoint.  The rest of a
-walk depends only on its steps so far, so all outcomes that give the same
-next step merge into one branch before the enumeration descends.  With the
-identity transform on an abelian group the endpoint depends only on how many
-steps took each atom of mu, and those counts form an urn, so a polynomial
-chain over count vectors reaches horizons the raw tree cannot.  The
-forest's isolated-vertex count is a Markov chain, run in the log domain.
+Ground truth for everything else.  The walk's next step depends on its past
+only through the multiset of its past steps: step j replays each earlier
+step with weight alpha / (j - 1), through the transform, and is a fresh
+mu-draw with weight 1 - alpha.  So one layered chain over states (past,
+position) gives the endpoint law of every enumerable transform; only a
+``HistoryDependent`` map, which may read the history, keeps the whole step
+sequence as its past.  The forest's isolated-vertex count is a Markov
+chain, run in the log domain.
 
-Float masses are accumulated with compensated summation; an exact-rational
-mode reruns the same enumeration in Fraction arithmetic (on the exact binary
+Endpoint masses are summed with compensated summation; an exact-rational
+mode reruns the same chain in Fraction arithmetic (on the exact binary
 values of the float inputs) to certify the double-precision results.
 """
 
@@ -21,13 +20,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
 from .groups import Group, StepDistribution
-from .sampler import Identity, SrrwConfig, WalkTrace
+from .sampler import HistoryDependent, SrrwConfig, WalkTrace
 
-DFS_CAP = 8
+# Most (past, position) states one layer of the exact chain may hold.
+STATE_CAP = 1 << 18
 
 
 class _MassMap:
@@ -57,7 +58,8 @@ class _MassMap:
 
 @dataclass
 class ExactDistribution:
-    """Exact law of the walk endpoint: group element -> probability."""
+    """Exact law of the walk endpoint: group element -> probability, with
+    ``enumeration_count`` states in the layer (or support) it came from."""
 
     n: int
     mass: dict
@@ -77,7 +79,7 @@ def iid_convolution(group: Group, mu: StepDistribution, n: int,
                     exact: bool = False) -> ExactDistribution:
     """Law of a product of n independent mu-draws.
 
-    Deliberately independent of the enumeration below; the reinforcement-free
+    Deliberately independent of the chain below; the reinforcement-free
     walk must match it.
     """
     mu.validate(group)
@@ -96,15 +98,16 @@ def iid_convolution(group: Group, mu: StepDistribution, n: int,
 
 def exact_distribution(config: SrrwConfig, n: int,
                        exact: bool = False) -> ExactDistribution:
-    """Exact endpoint law by full enumeration, keyed by group element.
+    """Exact endpoint law by the layered chain, keyed by group element.
 
-    Identity transforms on an abelian group run the type-count urn, whose
-    state count grows like n^(k-1) for k atoms, and take any modest n;
-    everything else walks the tree of step sequences, one branch per
-    distinct next step, and is capped at ``DFS_CAP`` (8) steps;
-    ``enumeration_count`` counts its leaves.  With ``exact=True`` all
-    weights are Fractions built from the exact binary values of the float
-    parameters, certifying the float accumulation.
+    Layer j maps each state (past, position) after j steps to its mass;
+    the past is the multiset of the steps taken, or their sequence under a
+    ``HistoryDependent`` map, which may read the history.  A state moves to
+    (past + y, position * y) with y's weight in the next-step law, and
+    equal states merge.  A layer holding more than ``STATE_CAP`` states
+    raises ``ValueError``; ``enumeration_count`` counts the last layer's.
+    With ``exact=True`` all weights are Fractions built from the exact
+    binary values of the float parameters, certifying the float sums.
     """
     if config.mu.is_continuous:
         raise ValueError("exact law needs a finite-support mu")
@@ -112,100 +115,66 @@ def exact_distribution(config: SrrwConfig, n: int,
         raise ValueError("exact law needs an enumerable transform")
     if n < 1:
         raise ValueError("need n >= 1")
-    if isinstance(config.transform, Identity) and config.group.is_abelian:
-        return _exact_identity_abelian(config, n, exact)
-    if n > DFS_CAP:
-        raise ValueError(
-            f"full enumeration capped at n = {DFS_CAP}; got n = {n} "
-            "(only the identity-transform abelian case avoids the tree)")
-    return _exact_dfs(config, n, exact)
-
-
-def _exact_dfs(config: SrrwConfig, n: int, exact: bool) -> ExactDistribution:
     g, mu, tf = config.group, config.mu, config.transform
     alpha = Fraction(config.alpha) if exact else config.alpha
     one = Fraction(1) if exact else 1.0
     mu_atoms = [(e, Fraction(w) if exact else w) for e, w in mu.support]
+    by_sequence = isinstance(tf, HistoryDependent)
+    values: list = []  # a multiset past counts step values by code
+    codes: dict = {}
+
+    def replays(past):
+        if by_sequence:
+            return Counter(past).items()
+        return [(values[c], k) for c, k in enumerate(past) if k]
+
+    def extend(past, y):
+        if by_sequence:
+            return past + (y,)
+        c = codes.setdefault(y, len(codes))
+        if c == len(values):
+            values.append(y)
+        past += (0,) * (c + 1 - len(past))
+        return past[:c] + (past[c] + 1,) + past[c + 1:]
+
+    layer = {(): {g.identity(): one}}  # past -> position -> mass
+    for j in range(1, n + 1):
+        fresh = one - alpha if j > 1 else one
+        nxt, size = {}, 0  # size: states in nxt
+        for past, at in layer.items():
+            law = {e: fresh * w for e, w in mu_atoms} if fresh > 0 else {}
+            if j > 1 and alpha > 0:
+                history = _trace(g, past) if by_sequence else None
+                for x, k in replays(past):
+                    for y, pw in tf.push_point(g, mu, j, x, history=history):
+                        pw = Fraction(pw) if exact else pw
+                        law[y] = law.get(y, 0) + alpha * k * pw / (j - 1)
+            for y, q in law.items():
+                if q <= 0:
+                    continue
+                dest = nxt.setdefault(extend(past, y), {})
+                size -= len(dest)
+                for x, p in at.items():
+                    z = g.multiply(x, y)
+                    dest[z] = dest.get(z, 0) + p * q
+                size += len(dest)
+                if size > STATE_CAP:
+                    raise ValueError(
+                        f"exact chain holds more than STATE_CAP = {STATE_CAP}"
+                        f" states at step {j} of {n}")
+        layer = nxt
     acc = _MassMap(exact)
-    count = 0
-
-    steps: list = []
-    positions = [g.identity()]
-
-    def record(w):
-        nonlocal count
-        count += 1
-        acc.add(positions[-1], w)
-
-    def branch(j, w):
-        if j > n:
-            record(w)
-            return
-        law: dict = {}  # step j's value -> its weight, picks and atoms merged
-        if j >= 2 and alpha > 0:
-            history = WalkTrace(group=g, steps=steps, positions=positions,
-                                reinforcement_flags=[], picks=[])
-            for x, k in Counter(steps).items():
-                for y, pw in tf.push_point(g, mu, j, x, history=history):
-                    pw = Fraction(pw) if exact else pw
-                    law[y] = law.get(y, 0) + alpha * k * pw / (j - 1)
-        fresh = one - alpha if j >= 2 else one
-        if fresh > 0:
-            for e, pw in mu_atoms:
-                law[e] = law.get(e, 0) + fresh * pw
-        for y, p in law.items():
-            if p > 0:
-                descend(j, y, w * p)
-
-    def descend(j, x, w):
-        steps.append(x)
-        positions.append(g.multiply(positions[-1], x))
-        branch(j + 1, w)
-        steps.pop()
-        positions.pop()
-
-    branch(1, one)
-    return acc.law(n, count)
+    for at in layer.values():
+        for x, p in at.items():
+            acc.add(x, p)
+    return acc.law(n, sum(map(len, layer.values())))
 
 
-def _exact_identity_abelian(config: SrrwConfig, n: int,
-                            exact: bool) -> ExactDistribution:
-    """Type-count urn: with identity replay, step j + 1 has the type of
-    atom i with probability (1 - alpha) w_i + alpha c_i / j, where c counts
-    the earlier steps of each type; on an abelian group c fixes the
-    position."""
-    g = config.group
-    alpha = Fraction(config.alpha) if exact else config.alpha
-    atoms = [e for e, _ in config.mu.support]
-    weights = [Fraction(w) if exact else w for _, w in config.mu.support]
-    k = len(atoms)
-    states = {tuple(int(i == m) for i in range(k)): w
-              for m, w in enumerate(weights)}
-    fresh = [(1 - alpha) * w for w in weights]
-    for j in range(1, n):
-        nxt: dict = {}
-        for c, p in states.items():
-            for i in range(k):
-                q = fresh[i] + alpha * c[i] / j
-                if q > 0:
-                    d = c[:i] + (c[i] + 1,) + c[i + 1:]
-                    nxt[d] = nxt.get(d, 0) + p * q
-        states = nxt
-
-    powers = []
-    for e in atoms:
-        row = [g.identity()]
-        for _ in range(n):
-            row.append(g.multiply(row[-1], e))
-        powers.append(row)
-    acc = _MassMap(exact)
-    for c, p in states.items():
-        x = g.identity()
-        for row, ci in zip(powers, c):
-            if ci:
-                x = g.multiply(x, row[ci])
-        acc.add(x, p)
-    return acc.law(n, len(states))
+def _trace(g: Group, steps: tuple) -> WalkTrace:
+    """The history a ``HistoryDependent`` map reads after ``steps``."""
+    positions = list(accumulate(steps, g.multiply, initial=g.identity()))
+    return WalkTrace(group=g, steps=list(steps), positions=positions,
+                     reinforcement_flags=[], picks=[])
 
 
 def exact_isolated_distribution(alpha, n: int, exact: bool = False) -> dict:

@@ -37,8 +37,6 @@ KEEP = {
                          "is conjugation invariant",
     "next_step_distribution": "exact one-step law, checked against "
                               "sample_walk's step frequencies",
-    "HistoryDependent": "the history-dependent transform; exact routes must "
-                        "refuse its randomized form",
     "parse_csv": "inverse of csv_bytes: the artifact round trip, and how "
                  "the tests read every CLI artifact",
 }

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srrw import estimators, fastpaths, verify
+from srrw import estimators, fastpaths, forest, verify
 from srrw import rng as rngmod
 from srrw.estimators import (ball_curve, mc_escape_rate, mc_histogram,
                              mc_point_mass, point_mass_curve)
@@ -174,6 +174,29 @@ def test_tree_engine_vs_exact():
         assert exact_distribution(cfg, 5).prob(e) == 0.0
         for n, est in point_mass_curve(cfg, [1, 3, 5], e, 40000, SEED):
             assert est.value == 0.0
+
+
+def _past_eight_steps(name):
+    """(config, horizons) of an engine at horizons past 8 steps, with its
+    law at e in reach of the exact chain."""
+    s3z, lamp = S3xZ(), LamplighterZ()
+    return {
+        "tree-rotation": (erw_config(3, 0.1), [10, 12]),
+        "s3z": (SrrwConfig(group=s3z, alpha=0.5, mu=StepDistribution.uniform(
+            s3z.generators())), [12]),
+        "lamplighter": (SrrwConfig(group=lamp, alpha=0.5,
+                                   mu=StepDistribution.lazy(lamp)), [12]),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["tree-rotation", "s3z", "lamplighter"])
+def test_engines_vs_exact_past_eight_steps(monkeypatch, name):
+    cfg, ns = _past_eight_steps(name)
+    monkeypatch.setattr(estimators, "_per_trial", None)  # engines only
+    e = cfg.group.identity()
+    for n, est in point_mass_curve(cfg, ns, e, 200_000, SEED):
+        exact = exact_distribution(cfg, n).prob(e)
+        assert abs(z_score(est, exact)) < 4, n
 
 
 def test_tree_escape_engine_vs_generic():
@@ -374,7 +397,7 @@ def test_every_engine_draws_one_uniform_per_step(monkeypatch):
     # a budget of 40 steps x 100 trials forces chunks of at most 100 rows
     # (6 rows for the Gaussian engine's 16-byte steps)
     n = 40
-    monkeypatch.setattr(fastpaths, "_CODE_BUDGET", 100 * n)
+    monkeypatch.setattr(forest, "_CODE_BUDGET", 100 * n)
     real = rngmod.stream
     for name, run in _engine_calls(n).items():
         logs = []
@@ -393,11 +416,11 @@ def test_every_engine_draws_one_uniform_per_step(monkeypatch):
 
 def test_over_budget_codes_run_in_smaller_chunks(monkeypatch):
     n = 40
-    monkeypatch.setattr(fastpaths, "_CODE_BUDGET", 100 * n)
+    monkeypatch.setattr(forest, "_CODE_BUDGET", 100 * n)
     for name, run in _engine_calls(n).items():
         assert run(2) == run(1), name
     # not even one trial's codes fit
-    monkeypatch.setattr(fastpaths, "_CODE_BUDGET", n - 1)
+    monkeypatch.setattr(forest, "_CODE_BUDGET", n - 1)
     for name, run in _engine_calls(n).items():
         with pytest.raises(ValueError):
             run(1)
@@ -411,7 +434,7 @@ def test_horizon_sized_state_counts_against_the_budget(monkeypatch):
     engines = _engine_calls(n)
     for name, state in (("lamplighter", 2 * n + 1), ("tree", n + 2),
                         ("tree-distance", n + 2)):
-        monkeypatch.setattr(fastpaths, "_CODE_BUDGET", 100 * n)
+        monkeypatch.setattr(forest, "_CODE_BUDGET", 100 * n)
         keys = []
         monkeypatch.setattr(rngmod, "stream",
                             lambda *key: keys.append(key) or real(*key))
@@ -420,7 +443,7 @@ def test_horizon_sized_state_counts_against_the_budget(monkeypatch):
         assert len(keys) == math.ceil(250 / rows) > math.ceil(250 / 100), name
         monkeypatch.setattr(rngmod, "stream", real)
         # one trial's codes fit, its codes and state do not
-        monkeypatch.setattr(fastpaths, "_CODE_BUDGET", n + state - 1)
+        monkeypatch.setattr(forest, "_CODE_BUDGET", n + state - 1)
         with pytest.raises(ValueError, match="state included"):
             engines[name](1)
 
@@ -433,14 +456,14 @@ def test_forest_route_counts_against_the_budget(monkeypatch):
     keys = []
     monkeypatch.setattr(rngmod, "stream",
                         lambda *key: keys.append(key) or real(*key))
-    monkeypatch.setattr(fastpaths, "_CODE_BUDGET", 100 * per_trial)
+    monkeypatch.setattr(forest, "_CODE_BUDGET", 100 * per_trial)
     hist = fastpaths.cyclic_histogram(5, 0.6, [1, 4], [0.5, 0.5], n, 250,
                                       SEED, via_forest=True)
     assert keys == [(SEED, 11, c) for c in range(3)]
     assert hist.sum() == 250
     # not even one trial fits: refused before any stream is opened
     keys.clear()
-    monkeypatch.setattr(fastpaths, "_CODE_BUDGET", per_trial - 1)
+    monkeypatch.setattr(forest, "_CODE_BUDGET", per_trial - 1)
     with pytest.raises(ValueError, match="forest steps"):
         fastpaths.cyclic_histogram(5, 0.6, [1, 4], [0.5, 0.5], n, 250, SEED,
                                    via_forest=True)

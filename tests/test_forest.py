@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srrw import forest
 from srrw.forest import (PercolatedForest, all_clusters_even_probability,
                          assign_and_assemble, clusters, grow,
                          isolated_counts_batch)
@@ -145,3 +146,32 @@ def test_isolated_counts_batch_matches_exact_law():
         phat = float((counts == i).mean())
         assert abs(phat - p) <= 3 * math.sqrt(p * (1 - p) / trials) + 1e-9
     assert set(np.unique(counts)) <= set(law)
+
+
+def test_forest_batches_count_against_the_budget(monkeypatch):
+    # 20 vertices: 42 bytes of flags per trial for the isolated counts, 168
+    # of roots and sizes for the all-even test; a budget of 100 trials
+    # cuts 250 trials into chunks of 100, 100 and 50, drawn in turn
+    n, alpha = 20, 0.5
+    ref = stream(28, 0)
+    parts = [isolated_counts_batch(n, alpha, m, ref) for m in (100, 100, 50)]
+    monkeypatch.setattr(forest, "_CODE_BUDGET", 100 * 42)
+    assert np.array_equal(isolated_counts_batch(n, alpha, 250, stream(28, 0)),
+                          np.concatenate(parts))
+    sizes = []
+    real = forest.all_even_indicator
+    monkeypatch.setattr(forest, "all_even_indicator",
+                        lambda n, a, m, rng: sizes.append(m) or real(n, a, m,
+                                                                     rng))
+    monkeypatch.setattr(forest, "_CODE_BUDGET", 100 * 168)
+    all_clusters_even_probability(alpha, n, 250, stream(28, 1))
+    assert sizes == [100, 100, 50]
+    # not even one trial fits: refused before any draw
+    rng = stream(28, 2)
+    monkeypatch.setattr(forest, "_CODE_BUDGET", 41)
+    with pytest.raises(ValueError, match="42 bytes of flags"):
+        isolated_counts_batch(n, alpha, 250, rng)
+    monkeypatch.setattr(forest, "_CODE_BUDGET", 167)
+    with pytest.raises(ValueError, match="168 bytes of roots"):
+        all_clusters_even_probability(alpha, n, 250, rng)
+    assert rng.random() == stream(28, 2).random()

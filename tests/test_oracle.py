@@ -1,5 +1,5 @@
-"""Exact-law oracles: both enumeration routes, certifying arithmetic, and
-the isolated-count brute force they are checked against."""
+"""Exact-law oracles: the layered chain against an unmerged enumeration,
+certifying arithmetic, and the isolated-count brute force."""
 
 import math
 from fractions import Fraction
@@ -8,13 +8,16 @@ from itertools import product
 import numpy as np
 import pytest
 
+from srrw import oracle
 from srrw.elephant import lambda_table, signed_position_law
-from srrw.groups import (CycleZL, IntegerLatticeZd, RegularTreeFree,
-                         StepDistribution)
+from srrw.groups import (CycleZL, IntegerLatticeZd, LamplighterZ,
+                         RegularTreeFree, S3xZ, StepDistribution)
 from srrw.oracle import (exact_distribution, exact_isolated_distribution,
                          iid_convolution, isolated_distribution_bruteforce,
                          isolated_log_laws, tv_distance)
-from srrw.sampler import HistoryDependent, IidSign, Negation, SrrwConfig
+from srrw.sampler import (EchoLawLinear, ErwRotation, HistoryDependent,
+                          Identity, IidSign, Negation, SrrwConfig, WalkTrace,
+                          erw_config)
 
 Z2_MU = StepDistribution(support=[(0, 0.5), (1, 0.5)])
 
@@ -29,10 +32,15 @@ def test_iid_convolution_simple():
     assert dist.prob((9, 9)) == 0.0
 
 
+# The identity as a map that may read the history: the chain keeps each
+# step sequence apart instead of merging multisets.
+SEQUENCE_IDENTITY = HistoryDependent(lambda j, history, rng: lambda x: x,
+                                     deterministic=True)
+
+
 def test_routes_agree_on_abelian_groups():
-    # IidSign(1.0) never inverts, so its law is the identity transform's,
-    # but it forces the generic branching enumeration; in Fractions the
-    # type-count urn and the tree give the same masses exactly
+    # the multiset past and the step-sequence past are two keys for the
+    # same chain; in Fractions they give the same masses exactly
     for g, mu in [
         (CycleZL(2), Z2_MU),
         (CycleZL(4), StepDistribution(support=[(1, 0.3), (3, 0.7)])),
@@ -41,12 +49,12 @@ def test_routes_agree_on_abelian_groups():
                                    ((0, 1), 0.25), ((0, -1), 0.25)])),
     ]:
         for alpha in (0.0, 0.4, 1.0):
-            cfg_fast = SrrwConfig(group=g, alpha=alpha, mu=mu)
-            cfg_slow = SrrwConfig(group=g, alpha=alpha, mu=mu,
-                                  transform=IidSign(1.0))
+            by_multiset = SrrwConfig(group=g, alpha=alpha, mu=mu)
+            by_sequence = SrrwConfig(group=g, alpha=alpha, mu=mu,
+                                     transform=SEQUENCE_IDENTITY)
             for n, exact in product((1, 3, 6), (False, True)):
-                fast = exact_distribution(cfg_fast, n, exact=exact)
-                slow = exact_distribution(cfg_slow, n, exact=exact)
+                fast = exact_distribution(by_multiset, n, exact=exact)
+                slow = exact_distribution(by_sequence, n, exact=exact)
                 if exact:
                     assert fast.mass == slow.mass
                     continue
@@ -54,6 +62,97 @@ def test_routes_agree_on_abelian_groups():
                 for k in keys:
                     assert math.isclose(fast.prob(k), slow.prob(k),
                                         abs_tol=1e-13)
+
+
+def brute_force(config, n):
+    """The endpoint law in Fractions from every coin, pick, fresh atom and
+    transform branch of the walk, one leaf per outcome, nothing merged."""
+    g, mu, tf = config.group, config.mu, config.transform
+    alpha = Fraction(config.alpha)
+    law = {}
+
+    def walk(steps, positions, w):
+        j = len(steps) + 1
+        if j > n:
+            law[positions[-1]] = law.get(positions[-1], 0) + w
+            return
+        outcomes = []
+        if j > 1:
+            history = WalkTrace(group=g, steps=steps, positions=positions,
+                                reinforcement_flags=[], picks=[])
+            for u in range(j - 1):
+                outcomes += [(y, alpha / (j - 1) * Fraction(pw))
+                             for y, pw in tf.push_point(g, mu, j, steps[u],
+                                                        history=history)]
+        fresh = 1 - alpha if j > 1 else 1
+        outcomes += [(e, fresh * Fraction(pw)) for e, pw in mu.support]
+        for y, p in outcomes:
+            walk(steps + [y], positions + [g.multiply(positions[-1], y)],
+                 w * p)
+
+    walk([], [g.identity()], Fraction(1))
+    return {x: p for x, p in law.items() if p}
+
+
+def _brute_force_cases():
+    """(name, group, mu, transform): every transform class on groups it
+    acts on."""
+    c4, z, z2 = CycleZL(4), IntegerLatticeZd(1), IntegerLatticeZd(2)
+    tree, s3z, lamp = RegularTreeFree(3), S3xZ(), LamplighterZ()
+    c4_mu = StepDistribution(support=[(1, 0.3), (3, 0.5), (0, 0.2)])
+    z_mu = StepDistribution(support=[((1,), 0.25), ((-1,), 0.75)])
+    z2_axis = StepDistribution.uniform(z2.generators())
+    letters = StepDistribution.uniform(tree.generators())
+    s3z_gens = StepDistribution.uniform(s3z.generators())
+    lamp_lazy = StepDistribution.lazy(lamp)
+
+    def back_at_first(j, history, rng):
+        # invert a replay while the walk is back where its first step took
+        # it, keep it elsewhere
+        if history.positions[-1] == history.positions[1]:
+            return history.group.inverse
+        return lambda x: x
+
+    # a shear moves (0, 1) to (1, 1), (2, 1), ...: the orbit is infinite
+    shear = EchoLawLinear([([[1, 1], [0, 1]], 0.5), ([[1, 0], [0, 1]], 0.5)])
+    return [
+        ("identity C4", c4, c4_mu, Identity()),
+        ("identity tree", tree, letters, Identity()),
+        ("identity S3xZ", s3z, s3z_gens, Identity()),
+        ("identity lamplighter", lamp, lamp_lazy, Identity()),
+        ("negation Z", z, z_mu, Negation()),
+        ("negation S3xZ", s3z, s3z_gens, Negation()),
+        ("negation lamplighter", lamp, lamp_lazy, Negation()),
+        ("iid_sign 0.25 Z2", z2, z2_axis, IidSign(0.25)),
+        ("iid_sign 1.0 tree", tree, letters, IidSign(1.0)),
+        ("history S3xZ", s3z, s3z_gens,
+         HistoryDependent(back_at_first, deterministic=True)),
+        ("history lamplighter", lamp, lamp_lazy,
+         HistoryDependent(back_at_first, deterministic=True)),
+        ("rotation tree", tree, letters, ErwRotation(3)),
+        ("echo Z2", z2, z2_axis, shear),
+    ]
+
+
+@pytest.mark.parametrize("case", _brute_force_cases(), ids=lambda c: c[0])
+def test_chain_equals_the_unmerged_enumeration(case):
+    _, g, mu, tf = case
+    n = 5
+    for alpha in (0.0, 0.4, 1.0):
+        cfg = SrrwConfig(group=g, alpha=alpha, mu=mu, transform=tf)
+        law = exact_distribution(cfg, n, exact=True)
+        assert law.mass == brute_force(cfg, n), alpha
+        floats = exact_distribution(cfg, n)
+        assert floats.mass.keys() == law.mass.keys()
+        for x, p in law.mass.items():
+            assert abs(floats.mass[x] - p) <= 1e-15, (alpha, x)
+
+
+@pytest.mark.parametrize("p", (0.1, 0.2, 0.5, 0.8))
+def test_chain_equals_the_unmerged_enumeration_for_the_elephant(p):
+    # p < 1/3 rotates replayed letters, p >= 1/3 keeps them
+    cfg = erw_config(3, p)
+    assert exact_distribution(cfg, 5, exact=True).mass == brute_force(cfg, 5)
 
 
 def test_urn_matches_the_memory_walk_on_z():
@@ -76,7 +175,7 @@ def test_negation_on_z2_equals_identity_route():
         assert math.isclose(a.prob(0), b.prob(0), abs_tol=1e-13)
 
 
-def test_alpha_zero_is_iid_even_for_dfs():
+def test_alpha_zero_is_iid_under_any_transform():
     t = RegularTreeFree(3)
     mu = StepDistribution(support=[(t.parse_element(c), Fraction(1, 3))
                                    for c in "abc"])
@@ -167,10 +266,16 @@ def test_bruteforce_cap():
         isolated_distribution_bruteforce(0.5, 9)
 
 
-def test_dfs_cap_and_validation():
+def test_state_cap_and_validation(monkeypatch):
+    # no horizon cap, only one on the states a layer holds: after 9 steps,
+    # 10 counts of two step values, each with its one position
     cfg = SrrwConfig(group=CycleZL(2), alpha=0.5, mu=Z2_MU, transform=IidSign(1.0))
-    with pytest.raises(ValueError, match="capped"):
+    monkeypatch.setattr(oracle, "STATE_CAP", 10)
+    assert exact_distribution(cfg, 9).enumeration_count == 10
+    monkeypatch.setattr(oracle, "STATE_CAP", 9)
+    with pytest.raises(ValueError, match="STATE_CAP = 9"):
         exact_distribution(cfg, 9)
+    monkeypatch.undo()
     with pytest.raises(ValueError):
         exact_distribution(cfg, 0)
 

@@ -66,6 +66,14 @@ ARGVS = (
         "--n", "3"],
        ["exact", "--group", "cycle:5", "--alpha", "0.5", "--mu", "pm1",
         "--transform", "negation", "--n", "5"]]
+    # the exact chain on a non-abelian group, under a rotation at n = 6
+    # and 10, and under a branching transform
+    + [["exact", "--group", "s3z", "--alpha", "0.5", "--mu", "gens",
+        "--n", "6"]]
+    + [["exact", "--group", "tree:3", "--alpha", "0.5", "--mu", "letters",
+        "--transform", "erw_rotation", "--n", n] for n in ("6", "10")]
+    + [["exact", "--group", "lattice:2", "--alpha", "0.5", "--mu", "lazy",
+        "--transform", "iid_sign:0.25", "--n", "5"]]
     # R^d input checks: the finite axis law, and a law R^d refuses
     + [["exact", "--group", "rd:1", "--alpha", "0.5", "--mu", mu, "--n", "2"]
        for mu in ("axis", '[["(nan)", 1.0]]')]
