@@ -50,7 +50,8 @@ from .elephant import (
     LambdaTable,
     poly_sequence,
     lambda_table,
-    lambda_bounds_check,
+    LambdaBounds,
+    lambda_bounds,
     eval_stable,
     signed_position_law,
     z2_return_gap,
@@ -110,7 +111,7 @@ __all__ = [
     "assign_and_assemble", "isolated_counts_batch",
     "all_clusters_even_probability",
     "ElephantPoly", "LambdaTable", "poly_sequence", "lambda_table",
-    "lambda_bounds_check", "eval_stable", "signed_position_law",
+    "LambdaBounds", "lambda_bounds", "eval_stable", "signed_position_law",
     "z2_return_gap", "z2_return_gap_bounds", "cycle_distribution",
     "decay_envelope", "decay_bound_check",
     "ExactDistribution", "exact_distribution", "iid_convolution",

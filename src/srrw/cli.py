@@ -18,7 +18,7 @@ import sys
 
 from . import reports, verify
 from . import rng as rngmod
-from .elephant import (cycle_distribution, eval_stable, lambda_bounds_check,
+from .elephant import (cycle_distribution, eval_stable, lambda_bounds,
                        lambda_table, z2_return_gap, z2_return_gap_bounds)
 from .estimators import ball_curve, point_mass_curve
 from .evolving import (doob_step, iso_profile, kernel_seq_from_forest,
@@ -124,12 +124,10 @@ def _run_poly(args) -> bytes:
     meta = _meta(args, ("mode", "alpha", "nmax", "n", "L", "x"))
     if args.mode == "lambda":
         table = lambda_table(args.alpha, args.nmax)
-        rows = []
-        for n in range(1, args.nmax + 1):
-            for k in range(0, n // 2 + 1):
-                chk = lambda_bounds_check(table, n, k)
-                rows.append((n, k, table.value(n, k), _from_log(chk.log_lower),
-                             _from_log(chk.log_upper), chk.passed))
+        b = lambda_bounds(table)
+        rows = zip(b.n.tolist(), b.k.tolist(), table.linear[b.n, b.k].tolist(),
+                   map(_from_log, b.log_lower.tolist()),
+                   map(_from_log, b.log_upper.tolist()), b.passed.tolist())
         return reports.csv_bytes(
             meta, ("n", "k", "lambda", "lower", "upper", "pass"), rows)
     if args.mode == "eval":

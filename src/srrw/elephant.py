@@ -15,7 +15,8 @@ Numerics: the alternating basis expansion sum_k (-1)^k lam_{n,k} x^{n-2k}
 ~(|x| + sqrt(alpha(1-x^2)))^n), so everything that needs R_n values at large n
 goes through the walk's exact position law instead, a sum of nonnegative
 terms.  The coefficient recursions themselves are cancellation free and run
-in linear double precision to the supported cap of n = 500.
+in linear double precision to the supported cap of n = 500, as long as no
+coefficient underflows; ``lambda_table`` refuses a table where one does.
 """
 
 from __future__ import annotations
@@ -141,8 +142,22 @@ class LambdaTable:
         return self
 
 
+def _entries(n_max: int):
+    """(n, k) index arrays of a table's entries, 1 <= n <= n_max and
+    0 <= k <= n // 2, in row order."""
+    ns = np.arange(n_max + 1)[:, None]
+    return np.nonzero((ns >= 1) & (np.arange(n_max // 2 + 1) <= ns // 2))
+
+
 def lambda_table(alpha: float, n_max: int) -> LambdaTable:
-    """Fill the coefficient table; linear doubles are safe through n = 500."""
+    """Fill the coefficient table in linear doubles, to n = ``N_CAP``.
+
+    A small alpha drives coefficients towards alpha^(n/2) and out of double
+    range (at alpha = 0.01 the first one leaves it at n = 282 and the first
+    zero comes at n = 296).  A table with any entry below the smallest
+    normal double is refused, since its logs would be wrong and its bound
+    checks would fail on positive coefficients.
+    """
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if n_max > N_CAP:
@@ -151,50 +166,60 @@ def lambda_table(alpha: float, n_max: int) -> LambdaTable:
     linear = np.zeros((n_max + 1, n_max // 2 + 1))
     for n in range(1, n_max + 1):
         linear[n, : len(rows[n])] = rows[n]
+    if alpha > 0:
+        n, k = _entries(n_max)
+        tiny = linear[n, k] < np.finfo(float).tiny
+        if tiny.any():
+            i = int(tiny.argmax())
+            raise ValueError(
+                f"lambda coefficients at alpha = {alpha} fall below the "
+                f"smallest normal double at (n, k) = ({n[i]}, {k[i]}), so "
+                f"n_max = {n_max} is out of reach")
     with np.errstate(divide="ignore"):
         log = np.where(linear > 0, np.log(np.where(linear > 0, linear, 1.0)),
                        -np.inf)
     return LambdaTable(alpha=float(alpha), n_max=n_max, linear=linear, log=log)
 
 
-def log_binomial(n: int, k: int) -> float:
-    if not 0 <= k <= n:
-        return -math.inf
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
 @dataclass
-class BoundCheck:
-    """Two-sided bound verdict with log-domain slacks (>= 0 means satisfied)."""
+class LambdaBounds:
+    """The two-sided bound at every entry of a table, one slot per (n, k)
+    in ``_entries`` order; a slack >= -tol means that side holds."""
 
-    passed: bool
-    slack_lower: float
-    slack_upper: float
-    log_value: float
-    log_lower: float
-    log_upper: float
+    n: np.ndarray
+    k: np.ndarray
+    log_lower: np.ndarray
+    log_upper: np.ndarray
+    slack_lower: np.ndarray
+    slack_upper: np.ndarray
+    passed: np.ndarray
 
 
-def lambda_bounds_check(table: LambdaTable, n: int, k: int,
-                        tol: float = 1e-12) -> BoundCheck:
-    """Check the two-sided coefficient bound in log domain.
+def lambda_bounds(table: LambdaTable, tol: float = 1e-12) -> LambdaBounds:
+    """Check the two-sided coefficient bound at every entry, in log domain.
 
     The bound sandwiches lam_{n,k} between binom(n,2k) alpha^k scaled down by
-    e^{-(1-alpha) n / (3+alpha)} and the unscaled product; binomials go
-    through log-gamma so nothing overflows.
+    e^{-(1-alpha) n / (3+alpha)} and the unscaled product.  Binomials come
+    from a table of lgamma(i + 1), as lgamma(n+1) - lgamma(2k+1) -
+    lgamma(n-2k+1), so nothing overflows.  At alpha = 0 an entry with
+    k >= 1 and both its bounds vanish together; it passes with zero slacks.
     """
-    lv = table.log_value(n, k)
+    n, k = _entries(table.n_max)
     a = table.alpha
-    log_ak = k * math.log(a) if a > 0 else (0.0 if k == 0 else -math.inf)
-    upper = log_binomial(n, 2 * k) + log_ak
+    log_fact = np.array([math.lgamma(i + 1) for i in range(table.n_max + 1)])
+    if a > 0:
+        log_ak = k * math.log(a)
+    else:
+        log_ak = np.where(k == 0, 0.0, -np.inf)
+    upper = log_fact[n] - log_fact[2 * k] - log_fact[n - 2 * k] + log_ak
     lower = upper - (1 - a) * n / (3 + a)
-    if lv == -math.inf and upper == -math.inf:
-        # alpha = 0, k >= 1: the entry and both bounds vanish together.
-        return BoundCheck(True, 0.0, 0.0, lv, lower, upper)
-    slack_lower = lv - lower
-    slack_upper = upper - lv
-    passed = slack_lower >= -tol and slack_upper >= -tol
-    return BoundCheck(passed, slack_lower, slack_upper, lv, lower, upper)
+    lv = table.log[n, k]
+    with np.errstate(invalid="ignore"):
+        slack_lower, slack_upper = lv - lower, upper - lv
+    vanish = (lv == -np.inf) & (upper == -np.inf)
+    slack_lower[vanish] = slack_upper[vanish] = 0.0
+    passed = (slack_lower >= -tol) & (slack_upper >= -tol)
+    return LambdaBounds(n, k, lower, upper, slack_lower, slack_upper, passed)
 
 
 def basis_eval(table, n: int, x):

@@ -239,8 +239,11 @@ def cyclic_histogram(L: int, alpha: float, atoms, weights, n: int,
     blocks of root draws instead of replaying steps; the two routes have the
     same law and give the distributional triangle its second corner.  A
     cluster shares its root's draw only under identity replay, so the
-    forest route refuses a ``replay`` table.  Its (trials x n) uniforms,
-    values and roots count against ``forest._CODE_BUDGET`` as codes do.
+    forest route refuses a ``replay`` table.  It draws every code of a
+    chunk at once, trial-major, then the forest, and adds up each vertex's
+    root code step by step (``forest._root_matrix``); its (trials x n)
+    uniforms, codes and roots count against ``forest._CODE_BUDGET`` as
+    the engines' codes do.
     """
     atoms = np.asarray(atoms, dtype=np.int64)
     law = _atom_law(weights)
@@ -248,18 +251,20 @@ def cyclic_histogram(L: int, alpha: float, atoms, weights, n: int,
         if replay is not None:
             raise ValueError("the forest route replays steps unchanged")
         _horizons([n], trials)
-        # per step: a float64 uniform, an int64 atom value and an int64
-        # gathered value; per vertex: the int32 roots and their shifted copy
-        per_trial = 24 * n + 8 * (n + 1)
+        # the peak is the code draw: per step, a float64 uniform and the
+        # float64 and intp arrays that turn it into a code; the codes and
+        # int32 roots held after it take less
+        per_trial = 24 * n
         chunk = forest._budget_rows(1 << 16, per_trial,
                                     f"{n} forest steps need {per_trial} "
                                     f"bytes per trial")
 
         def worker(ci: int, m: int) -> np.ndarray:
             rng = rngmod.stream(seed, 11, ci)
-            vals = atoms[law.fresh(rng, rng.random(m * n)).reshape(m, n)]
-            root = forest._root_matrix(n, alpha, m, rng)
-            pos = np.take_along_axis(vals, root[:, 1:] - 1, axis=1).sum(axis=1)
+            codes = law.fresh(rng, rng.random(m * n))
+            pos = np.zeros(m, dtype=np.int64)
+            for row in forest._root_matrix(n, alpha, m, rng):
+                pos += atoms.take(codes.take(row))
             return np.bincount(pos % L, minlength=L)
 
         return np.sum(_chunk_map(worker, trials, chunk, threads), axis=0)

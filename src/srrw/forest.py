@@ -13,6 +13,11 @@ walk itself.  This is the package's second, structurally different sampler
 for the same process and the basis of several exact identities (with identity
 transforms on an abelian group the position is the cluster-size-weighted sum
 of the root draws).
+
+The batched routines grow many forests at once and hold them step-major: a
+matrix has one row per vertex and one column per trial, so each arriving
+vertex reads and writes whole contiguous rows, and a row's kept entries
+gather from earlier rows by flat offset, as the engines' replay does.
 """
 
 from __future__ import annotations
@@ -157,27 +162,35 @@ def _attachments(n: int, alpha: float, trials: int, rng):
 
 
 def _root_matrix(n: int, alpha: float, trials: int, rng) -> np.ndarray:
-    """(trials, n+1) matrix of cluster roots; column 0 is padding.
+    """(n, trials) int32 matrix of cluster roots, step-major.
 
-    Roots are decided at attachment time and never change, so one pass over
-    vertex columns vectorizes across trials.
+    Row j - 1 is vertex j.  An entry is the flat offset, t * n + r - 1, of
+    trial t's root r in a trial-major (trials, n) array, the layout of
+    ``trials * n`` codes drawn at once; offsets differ across trials, so
+    they also key one ``bincount`` over all trials.  Roots are decided at
+    attachment time and never change, so one pass over the vertices, one
+    contiguous row each, vectorizes across trials.
     """
-    root_of = np.zeros((trials, n + 1), dtype=np.int32)
-    root_of[:, 1] = 1
+    if trials * n >= 1 << 31:
+        raise ValueError(f"{trials} forests of {n} vertices overflow int32 "
+                         f"root offsets")
+    base = np.arange(trials, dtype=np.int32) * np.int32(n)
+    root = np.empty((n, trials), dtype=np.int32)
+    flat = root.reshape(-1)
+    root[0] = base
     for j, _, kept, past in _attachments(n, alpha, trials, rng):
-        root_of[:, j] = j
-        root_of[kept, j] = root_of[kept, past + 1]
-    return root_of
+        np.add(base, j - 1, out=root[j - 1])
+        if kept.size:
+            root[j - 1, kept] = flat.take(past * trials + kept)
+    return root
 
 
 def all_even_indicator(n: int, alpha: float, trials: int, rng) -> np.ndarray:
     """Boolean vector: per trial, are all cluster sizes even?"""
-    root_of = _root_matrix(n, alpha, trials, rng)
-    rows = np.arange(trials)[:, None]
-    counts = np.zeros((trials, n + 1), dtype=np.int32)
-    np.add.at(counts, (np.broadcast_to(rows, root_of[:, 1:].shape),
-                       root_of[:, 1:]), 1)
-    return (counts % 2 == 0).all(axis=1)
+    sizes = np.bincount(_root_matrix(n, alpha, trials, rng).reshape(-1),
+                        minlength=trials * n)
+    np.bitwise_and(sizes, 1, out=sizes)
+    return ~sizes.reshape(trials, n).any(axis=1)
 
 
 def all_clusters_even_probability(alpha: float, n: int, trials: int,
@@ -186,11 +199,11 @@ def all_clusters_even_probability(alpha: float, n: int, trials: int,
 
     Zero whenever n is odd (sizes sum to n); the even-n values match the
     central coefficients of the elephant polynomials.  Chunks of at most
-    2^14 trials hold two int32 matrices over the vertices, charged to
-    ``_CODE_BUDGET``.
+    2^14 trials hold, per vertex, an int32 root, its intp copy inside
+    ``bincount`` and an int64 size, charged to ``_CODE_BUDGET``.
     """
     rng = rngmod.as_generator(rng_seed)
-    per_trial = 8 * (n + 1)
+    per_trial = 20 * n
     chunk = _budget_rows(1 << 14, per_trial, f"{n} forest vertices need "
                          f"{per_trial} bytes of roots and sizes per trial")
     hits = 0
@@ -206,8 +219,10 @@ def isolated_counts_batch(n: int, alpha: float, trials: int, rng) -> np.ndarray:
     """Vectorized isolated-cluster counts over many grown forests.
 
     A vertex is isolated iff its own edge was dropped and no later vertex
-    kept an edge to it.  Trials run in chunks, one after another on ``rng``,
-    whose two boolean matrices over the vertices fit in ``_CODE_BUDGET``.
+    kept an edge to it.  The two flags are (n + 1, trials) boolean
+    matrices, step-major with row j for vertex j, combined in place.
+    Trials run in chunks, one after another on ``rng``, whose flags fit in
+    ``_CODE_BUDGET``.
     """
     per_trial = 2 * (n + 1)
     rows = _budget_rows(max(trials, 1), per_trial, f"{n} forest vertices "
@@ -215,11 +230,13 @@ def isolated_counts_batch(n: int, alpha: float, trials: int, rng) -> np.ndarray:
     out = np.empty(trials, dtype=np.intp)
     for lo in range(0, trials, rows):
         m = min(rows, trials - lo)
-        own_dropped = np.ones((m, n + 1), dtype=bool)
-        has_kept_child = np.zeros((m, n + 1), dtype=bool)
+        own_dropped = np.ones((n + 1, m), dtype=bool)
+        has_kept_child = np.zeros((n + 1, m), dtype=bool)
+        child = has_kept_child.reshape(-1)
         for j, _, kept, past in _attachments(n, alpha, m, rng):
-            own_dropped[kept, j] = False
-            has_kept_child[kept, past + 1] = True
-        isolated = own_dropped[:, 1:] & ~has_kept_child[:, 1:]
-        isolated.sum(axis=1, out=out[lo:lo + m])
+            own_dropped[j, kept] = False
+            child[(past + 1) * m + kept] = True
+        isolated = np.logical_not(has_kept_child, out=has_kept_child)
+        isolated &= own_dropped
+        isolated[1:].sum(axis=0, out=out[lo:lo + m])
     return out

@@ -177,6 +177,11 @@ def _trace(g: Group, steps: tuple) -> WalkTrace:
                      reinforcement_flags=[], picks=[])
 
 
+# Pivot of a log-sum-exp whose terms are all -inf: every term minus it is
+# still -inf, and no log-probability lies below it.
+_LOG_FLOOR = np.finfo(float).min
+
+
 def exact_isolated_distribution(alpha, n: int, exact: bool = False) -> dict:
     """Exact law of the number of singleton clusters after n vertices.
 
@@ -209,27 +214,73 @@ def isolated_log_laws(alpha, n_max: int):
     """Yield (n, log P(I(n) = i) for i = 0..n) for n = 1..n_max.
 
     The isolated-count recursion in floats, in the log domain so that tails
-    below double range keep their size; it holds one law at a time, never
-    the (n x n) table.  An impossible count reads -inf.
+    below double range keep their size.  ``alpha`` is one value, giving 1-D
+    laws, or a 1-D sequence, giving (len(alpha), n + 1) arrays with one law
+    per row; a row equals the law of its alpha alone, bit for bit.  Each
+    entry is a three-term log-sum-exp, pivoted at its largest term: stay
+    (the new vertex keeps an edge into a non-singleton cluster), arrive (its
+    edge is dropped) and leave (it keeps an edge to a singleton).  An
+    impossible count reads -inf.
+
+    The laws are stored count-major, (n_max + 2, len(alpha)), so every step
+    is a few whole-array passes over contiguous memory, and a shift by one
+    count is a shift by one row.  Two such buffers take turns: a yielded law
+    is a view that stays valid until two more are drawn, so copy it to keep
+    it.
     """
     if n_max < 1:
         raise ValueError("need n >= 1")
-    a = float(alpha)
+    a = np.asarray(alpha, dtype=float)
+    if a.ndim > 1:
+        raise ValueError("alpha must be a number or a 1-D sequence")
+    width = a.size
     with np.errstate(divide="ignore"):
         log_keep, log_a = np.log(1.0 - a), np.log(a)
         log_int = np.log(np.arange(n_max + 1.0))
-    logs = np.array([-np.inf, 0.0])
-    yield 1, logs
+    rows = n_max + 2
+    # row t of ``up_log`` holds log t; row t of ``down_log`` holds
+    # log(n_max - t), -inf past t = n_max; both repeat across alphas
+    up_log = np.repeat(np.append(log_int, -np.inf), width)
+    down_log = np.repeat(np.append(log_int[::-1], -np.inf), width)
+    keep, alphas = np.tile(log_keep, rows), np.tile(log_a, rows)
+    per_count = np.empty(rows * width)
+    stay, arrive, leave, pivot = (np.empty(rows * width) for _ in range(4))
+    cur, nxt = np.full(rows * width, -np.inf), np.full(rows * width, -np.inf)
+    cur[width:2 * width] = 0.0
+
+    def law(buf, n):
+        view = buf[:(n + 1) * width].reshape(n + 1, width)
+        return view[:, 0] if a.ndim == 0 else view.T
+
+    yield 1, law(cur, 1)
     for j in range(1, n_max):
-        per_count = log_a - log_int[j]
-        # i -> i: the new vertex keeps an edge to one of j - i clustered ones
-        nxt = np.append(logs + log_int[j::-1] + per_count, -np.inf)
-        # i -> i + 1: its edge is dropped
-        nxt[1:] = np.logaddexp(nxt[1:], logs + log_keep)
-        # i -> i - 1: it keeps an edge to one of the i singletons
-        nxt[:j] = np.logaddexp(nxt[:j], logs[1:] + log_int[1:j + 1] + per_count)
-        logs = nxt
-        yield j + 1, logs
+        size = (j + 2) * width  # counts 0..j + 1 after the new vertex
+        pc, s, u, d, m = (x[:size] for x in (per_count, stay, arrive, leave,
+                                             pivot))
+        np.subtract(alphas[:size], log_int[j], out=pc)
+        # i -> i: one of the j - i clustered vertices, weight alpha / j each
+        np.add(cur[:size], down_log[(n_max - j) * width:][:size], out=s)
+        s += pc
+        # i -> i + 1: the new edge is dropped
+        u[:width] = -np.inf
+        np.add(cur[:size - width], keep[:size - width], out=u[width:])
+        # i -> i - 1: one of the i singletons
+        np.add(cur[width:size], up_log[width:size], out=d[:size - width])
+        d[:size - width] += pc[:size - width]
+        d[size - width:] = -np.inf
+        np.maximum(s, u, out=m)
+        np.maximum(m, d, out=m)
+        np.maximum(m, _LOG_FLOOR, out=m)  # a finite pivot for -inf cells
+        for t in (s, u, d):
+            t -= m
+            np.exp(t, out=t)
+        s += u
+        s += d
+        with np.errstate(divide="ignore"):
+            np.log(s, out=nxt[:size])
+        nxt[:size] += m
+        cur, nxt = nxt, cur
+        yield j + 1, law(cur, j + 1)
 
 
 def isolated_distribution_bruteforce(alpha, n: int, cap: int = 8) -> dict:

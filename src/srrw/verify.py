@@ -24,7 +24,7 @@ import numpy as np
 
 from . import estimators, fastpaths
 from . import rng as rngmod
-from .elephant import (cycle_distribution, decay_bound_sweep, lambda_bounds_check,
+from .elephant import (cycle_distribution, decay_bound_sweep, lambda_bounds,
                        lambda_table, z2_return_gap_bounds)
 from .evolving import (DeterministicStep, MuStep, compose_matrices,
                        enumerate_group, iso_profile, kernel_seq_from_forest,
@@ -159,15 +159,13 @@ def suite_lambda_bounds(seed: int = DEFAULT_SEED, threads: int = 1):
     checked = 0
     worst = math.inf
     for alpha in [0.0] + _ALPHA_GRID + [1.0]:
-        table = lambda_table(alpha, 200)
-        for n in range(1, 201):
-            for k in range(0, n // 2 + 1):
-                chk = lambda_bounds_check(table, n, k)
-                checked += 1
-                if not chk.passed:
-                    violations += 1
-                else:
-                    worst = min(worst, chk.slack_lower, chk.slack_upper)
+        bounds = lambda_bounds(lambda_table(alpha, 200))
+        ok = bounds.passed
+        checked += ok.size
+        violations += int(ok.size - ok.sum())
+        if ok.any():
+            worst = min(worst, float(bounds.slack_lower[ok].min()),
+                        float(bounds.slack_upper[ok].min()))
     return [CriterionResult(
         criterion="lambda-bounds",
         expected="0 violations for n <= 200, all k, alpha in {0, 0.1..0.9, 1}",
@@ -215,8 +213,8 @@ def suite_isolated(seed: int = DEFAULT_SEED, threads: int = 1):
     logs.  Then the forest sampler's counts against the same law."""
     cells = violations = 0
     worst = math.inf
-    for alpha in _ALPHA_GRID:
-        for n, logs in isolated_log_laws(alpha, 2000):
+    for n, laws in isolated_log_laws(_ALPHA_GRID, 2000):
+        for alpha, logs in zip(_ALPHA_GRID, laws):
             log_bound = math.log(5) - 3 * (1 - alpha) * n / 280
             if log_bound >= 0:
                 continue

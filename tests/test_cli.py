@@ -292,6 +292,8 @@ def test_library_errors_exit_with_an_error(capsys):
          "poly: need n_max"),
         (["poly", "lambda", "--alpha", "1.5", "--nmax", "3"],
          "poly: alpha must be in [0, 1]"),
+        (["poly", "lambda", "--alpha", "0.01", "--nmax", "500"],
+         "poly: lambda coefficients at alpha = 0.01"),
         (["poly", "cycle", "--alpha", "0.5", "--n", "3", "--L", "2"],
          "poly: cycle distributions need L >= 3"),
         (["evoset", "profile", "--group", "lattice:2", "--mu", "lazy",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from srrw.elephant import (basis_eval, cycle_distribution, decay_bound_check,
                            decay_bound_sweep, decay_envelope, eval_stable,
-                           lambda_bounds_check, lambda_rows,
+                           lambda_bounds, lambda_rows,
                            lambda_table, poly_sequence, signed_position_law,
                            z2_return_gap, z2_return_gap_bounds)
 from srrw.groups import StepDistribution, CycleZL
@@ -82,10 +82,60 @@ def test_alpha_zero_is_plain_power():
        st.integers(min_value=1, max_value=80))
 @settings(max_examples=60, deadline=None)
 def test_lambda_bounds_property(alpha, n_max):
-    table = lambda_table(alpha, n_max)
-    for n in range(1, n_max + 1):
-        for k in range(n // 2 + 1):
-            assert lambda_bounds_check(table, n, k).passed
+    bounds = lambda_bounds(lambda_table(alpha, n_max))
+    assert bounds.passed.size == sum(n // 2 + 1 for n in range(1, n_max + 1))
+    assert bounds.passed.all()
+
+
+def entry_bound_check(table, n, k, tol=1e-12):
+    """The bound at one entry, in Python floats: (passed, slack_lower,
+    slack_upper, log_lower, log_upper)."""
+    lv = table.log_value(n, k)
+    a = table.alpha
+    log_ak = k * math.log(a) if a > 0 else (0.0 if k == 0 else -math.inf)
+    upper = (math.lgamma(n + 1) - math.lgamma(2 * k + 1)
+             - math.lgamma(n - 2 * k + 1)) + log_ak
+    lower = upper - (1 - a) * n / (3 + a)
+    if lv == -math.inf and upper == -math.inf:
+        return True, 0.0, 0.0, lower, upper
+    slack_lower, slack_upper = lv - lower, upper - lv
+    return (slack_lower >= -tol and slack_upper >= -tol, slack_lower,
+            slack_upper, lower, upper)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5, 0.9, 1.0])
+def test_lambda_bounds_equal_the_per_entry_rule(alpha):
+    table = lambda_table(alpha, 200)
+    b = lambda_bounds(table)
+    entries = [(n, k) for n in range(1, 201) for k in range(n // 2 + 1)]
+    assert list(zip(b.n.tolist(), b.k.tolist())) == entries
+    got = zip(b.passed.tolist(), b.slack_lower.tolist(),
+              b.slack_upper.tolist(), b.log_lower.tolist(),
+              b.log_upper.tolist())
+    for (n, k), row in zip(entries, got):
+        want = entry_bound_check(table, n, k)
+        assert row[0] == want[0], (n, k)
+        assert [x.hex() for x in row[1:]] == [x.hex() for x in want[1:]], (
+            n, k)
+    if alpha == 0.0:
+        # the entry and both bounds vanish together off k = 0
+        vanish = b.k > 0
+        assert (b.log_upper[vanish] == -math.inf).all()
+        assert b.passed.all()
+
+
+def test_lambda_table_refuses_coefficients_below_double_range():
+    # at n_max = 500 these alphas drive a positive coefficient to zero; a
+    # refusal names alpha and n_max, and a table that is built passes
+    for alpha in (0.01, 0.02, 0.05, 0.07):
+        with pytest.raises(ValueError, match=f"alpha = {alpha} .* "
+                                             f"n_max = 500"):
+            lambda_table(alpha, 500)
+    for alpha, n_max in ((0.1, 500), (0.01, 200), (0.01, 281)):
+        table = lambda_table(alpha, n_max).check()
+        assert lambda_bounds(table).passed.all()
+    with pytest.raises(ValueError, match=r"\(n, k\) = \(282, 141\)"):
+        lambda_table(0.01, 282)
 
 
 def test_lambda_table_shape_and_errors():

@@ -449,9 +449,10 @@ def test_horizon_sized_state_counts_against_the_budget(monkeypatch):
 
 
 def test_forest_route_counts_against_the_budget(monkeypatch):
-    # 40 steps take 24 * 40 + 8 * 41 = 1288 bytes per trial: a budget of
-    # 100 trials cuts 250 trials into 3 chunks
-    n, per_trial = 40, 1288
+    # 40 steps take 24 * 40 = 960 bytes per trial (a uniform and the two
+    # arrays that turn it into a code, each): a budget of 100 trials cuts
+    # 250 trials into 3 chunks
+    n, per_trial = 40, 960
     real = rngmod.stream
     keys = []
     monkeypatch.setattr(rngmod, "stream",
@@ -468,6 +469,45 @@ def test_forest_route_counts_against_the_budget(monkeypatch):
         fastpaths.cyclic_histogram(5, 0.6, [1, 4], [0.5, 0.5], n, 250, SEED,
                                    via_forest=True)
     assert keys == []
+
+
+def forest_histogram_trial_major(L, alpha, atoms, weights, n, sizes):
+    """The forest route as it was built before it went step-major: values
+    and roots in (trials, n) matrices, one chunk of ``sizes`` per stream."""
+    law = fastpaths._atom_law(weights)
+    atoms = np.asarray(atoms, dtype=np.int64)
+    total = np.zeros(L, dtype=np.int64)
+    for ci, m in enumerate(sizes):
+        rng = rngmod.stream(SEED, 11, ci)
+        vals = atoms[law.fresh(rng, rng.random(m * n)).reshape(m, n)]
+        root = np.zeros((m, n + 1), dtype=np.int32)
+        root[:, 1] = 1
+        for j, _, kept, past in forest._attachments(n, alpha, m, rng):
+            root[:, j] = j
+            root[kept, j] = root[kept, past + 1]
+        pos = np.take_along_axis(vals, root[:, 1:] - 1, axis=1).sum(axis=1)
+        total += np.bincount(pos % L, minlength=L)
+    return total
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 6, 20])
+@pytest.mark.parametrize("L, atoms, weights", [
+    (2, [0, 1], [0.5, 0.5]), (3, [1, 2], [0.5, 0.5]),
+    # no small slot table: codes come from searchsorted
+    (5, [1, 4, 2], [0.5, 0.3141, 0.1859])])
+def test_forest_route_equals_the_trial_major_reference(monkeypatch, L, atoms,
+                                                       weights, n, alpha):
+    hist = fastpaths.cyclic_histogram(L, alpha, atoms, weights, n, 300, SEED,
+                                      via_forest=True)
+    assert np.array_equal(hist, forest_histogram_trial_major(
+        L, alpha, atoms, weights, n, [300]))
+    # a budget of 100 trials cuts 250 trials into chunks of 100, 100 and 50
+    monkeypatch.setattr(forest, "_CODE_BUDGET", 100 * 24 * n)
+    hist = fastpaths.cyclic_histogram(L, alpha, atoms, weights, n, 250, SEED,
+                                      threads=2, via_forest=True)
+    assert np.array_equal(hist, forest_histogram_trial_major(
+        L, alpha, atoms, weights, n, [100, 100, 50]))
 
 
 def test_lattice_positions_past_the_packing_limit():

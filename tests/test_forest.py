@@ -149,9 +149,10 @@ def test_isolated_counts_batch_matches_exact_law():
 
 
 def test_forest_batches_count_against_the_budget(monkeypatch):
-    # 20 vertices: 42 bytes of flags per trial for the isolated counts, 168
-    # of roots and sizes for the all-even test; a budget of 100 trials
-    # cuts 250 trials into chunks of 100, 100 and 50, drawn in turn
+    # 20 vertices: 42 bytes of flags per trial for the isolated counts, 400
+    # of roots, their bincount copy and sizes for the all-even test; a
+    # budget of 100 trials cuts 250 trials into chunks of 100, 100 and 50,
+    # drawn in turn
     n, alpha = 20, 0.5
     ref = stream(28, 0)
     parts = [isolated_counts_batch(n, alpha, m, ref) for m in (100, 100, 50)]
@@ -163,7 +164,7 @@ def test_forest_batches_count_against_the_budget(monkeypatch):
     monkeypatch.setattr(forest, "all_even_indicator",
                         lambda n, a, m, rng: sizes.append(m) or real(n, a, m,
                                                                      rng))
-    monkeypatch.setattr(forest, "_CODE_BUDGET", 100 * 168)
+    monkeypatch.setattr(forest, "_CODE_BUDGET", 100 * 400)
     all_clusters_even_probability(alpha, n, 250, stream(28, 1))
     assert sizes == [100, 100, 50]
     # not even one trial fits: refused before any draw
@@ -171,7 +172,71 @@ def test_forest_batches_count_against_the_budget(monkeypatch):
     monkeypatch.setattr(forest, "_CODE_BUDGET", 41)
     with pytest.raises(ValueError, match="42 bytes of flags"):
         isolated_counts_batch(n, alpha, 250, rng)
-    monkeypatch.setattr(forest, "_CODE_BUDGET", 167)
-    with pytest.raises(ValueError, match="168 bytes of roots"):
+    monkeypatch.setattr(forest, "_CODE_BUDGET", 399)
+    with pytest.raises(ValueError, match="400 bytes of roots"):
         all_clusters_even_probability(alpha, n, 250, rng)
     assert rng.random() == stream(28, 2).random()
+
+
+# Trial-major references: the (trials, n + 1) root and flag matrices the
+# step-major code replaced, fed by the same attachment draws.
+def roots_trial_major(n, alpha, trials, rng):
+    root_of = np.zeros((trials, n + 1), dtype=np.int32)
+    root_of[:, 1] = 1
+    for j, _, kept, past in forest._attachments(n, alpha, trials, rng):
+        root_of[:, j] = j
+        root_of[kept, j] = root_of[kept, past + 1]
+    return root_of
+
+
+def isolated_trial_major(n, alpha, trials, rng):
+    own_dropped = np.ones((trials, n + 1), dtype=bool)
+    has_kept_child = np.zeros((trials, n + 1), dtype=bool)
+    for j, _, kept, past in forest._attachments(n, alpha, trials, rng):
+        own_dropped[kept, j] = False
+        has_kept_child[kept, past + 1] = True
+    return (own_dropped[:, 1:] & ~has_kept_child[:, 1:]).sum(axis=1)
+
+
+def all_even_trial_major(n, alpha, trials, rng):
+    root_of = roots_trial_major(n, alpha, trials, rng)
+    counts = np.zeros((trials, n + 1), dtype=np.int32)
+    np.add.at(counts, (np.broadcast_to(np.arange(trials)[:, None],
+                                       root_of[:, 1:].shape),
+                       root_of[:, 1:]), 1)
+    return (counts % 2 == 0).all(axis=1)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 6, 20])
+def test_step_major_forest_equals_the_trial_major_reference(alpha, n):
+    m = 300
+    roots = forest._root_matrix(n, alpha, m, stream(29, n, 0))
+    ref = roots_trial_major(n, alpha, m, stream(29, n, 0))
+    assert roots.shape == (n, m) and roots.dtype == np.int32
+    # each entry is the flat offset of its root in a (trials, n) array
+    assert np.array_equal(roots.T, np.arange(m)[:, None] * n + ref[:, 1:] - 1)
+    assert np.array_equal(isolated_counts_batch(n, alpha, m, stream(29, n, 1)),
+                          isolated_trial_major(n, alpha, m, stream(29, n, 1)))
+    assert np.array_equal(
+        forest.all_even_indicator(n, alpha, m, stream(29, n, 2)),
+        all_even_trial_major(n, alpha, m, stream(29, n, 2)))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 6, 20])
+def test_chunked_forest_batches_equal_the_trial_major_reference(
+        monkeypatch, alpha, n):
+    # a budget of 100 trials draws 250 as 100, 100 and 50 in turn
+    ref = stream(30, n, 0)
+    parts = [isolated_trial_major(n, alpha, m, ref) for m in (100, 100, 50)]
+    monkeypatch.setattr(forest, "_CODE_BUDGET", 100 * 2 * (n + 1))
+    assert np.array_equal(isolated_counts_batch(n, alpha, 250,
+                                                stream(30, n, 0)),
+                          np.concatenate(parts))
+    ref = stream(30, n, 1)
+    hits = sum(int(all_even_trial_major(n, alpha, m, ref).sum())
+               for m in (100, 100, 50))
+    monkeypatch.setattr(forest, "_CODE_BUDGET", 100 * 20 * n)
+    est = all_clusters_even_probability(alpha, n, 250, stream(30, n, 1))
+    assert est.value == hits / 250

@@ -254,6 +254,27 @@ def test_isolated_log_tail_at_alpha_half_n_500():
         next(isolated_log_laws(0.5, 0))
 
 
+def test_isolated_log_laws_over_an_alpha_vector_equal_the_single_laws():
+    alphas = [0.0, 0.1, 0.25, 0.5, 0.7, 0.9, 1.0]
+    singles = [isolated_log_laws(a, 300) for a in alphas]
+    for (n, laws), *rows in zip(isolated_log_laws(alphas, 300), *singles):
+        assert laws.shape == (len(alphas), n + 1)
+        for law, (m, single) in zip(laws, rows):
+            assert m == n and single.shape == (n + 1,)
+            assert law.tobytes() == single.tobytes(), n
+
+
+def test_isolated_log_laws_over_an_alpha_vector_keep_the_fraction_zeros():
+    alphas = [0.0, 0.25, 0.5, 0.7, 1.0]
+    for n, laws in isolated_log_laws(alphas, 40):
+        for alpha, logs in zip(alphas, laws):
+            law = exact_isolated_distribution(alpha, n, exact=True)
+            impossible = [i not in law for i in range(n + 1)]
+            assert (logs == -math.inf).tolist() == impossible, (alpha, n)
+    with pytest.raises(ValueError):
+        next(isolated_log_laws([[0.5]], 3))
+
+
 def test_isolated_law_degenerate_alphas():
     assert exact_isolated_distribution(0.0, 9) == {9: 1.0}
     law = exact_isolated_distribution(1.0, 9)

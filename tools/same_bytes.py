@@ -81,6 +81,10 @@ ARGVS = (
        _evoset("trace", "lattice:2", "lazy"),
        _evoset("profile", "z2", "lazy")]
     + [["poly", "lambda", "--alpha", "0.5", "--nmax", "40"]]
+    # the lambda-bounds suite's table at alpha = 0.1, and a table whose
+    # coefficients leave double range, which is refused
+    + [["poly", "lambda", "--alpha", a, "--nmax", n]
+       for a, n in (("0.1", "200"), ("0.01", "500"))]
 )
 
 
