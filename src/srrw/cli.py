@@ -205,14 +205,13 @@ def _run_verify(args) -> tuple:
     return reports.json_bytes(payload), payload["pass"]
 
 
-def _add_common(p, with_seed=True):
+def _add_common(p):
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (default: $SRRW_THREADS, else 1)")
     p.add_argument("--config", default=None,
                    help="key=value file supplying flag defaults")
-    if with_seed:
-        p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
 
 
 def _add_walk_flags(p):

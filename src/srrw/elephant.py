@@ -27,7 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-N_CAP = 500
+# Largest n of a coefficient table, and how far below a bound a
+# coefficient's log may fall and still pass.
+N_CAP, BOUND_TOL = 500, 1e-12
 
 
 @dataclass
@@ -80,30 +82,27 @@ def poly_sequence(alpha, n_max: int) -> list:
     return polys
 
 
-def lambda_rows(alpha, n_max: int) -> list:
-    """Coefficient rows lam[n][k] for n = 1..n_max, k = 0..n//2.
+def lambda_rows(alpha, n_max: int) -> np.ndarray:
+    """Coefficients lam[n, k] for n = 1..n_max, k = 0..n//2, in an
+    (n_max + 1, n_max // 2 + 1) array, zero elsewhere (row 0 is padding).
 
     Recursion: lam_{n+1,k} = (1 + 2 alpha k / n) lam_{n,k}
                            + alpha (1 - 2(k-1)/n) lam_{n,k-1},
-    base lam_{1,0} = 1, zero outside the k range.  Row index 0 is padding.
-    Arithmetic follows the type of ``alpha`` (float or Fraction).
+    base lam_{1,0} = 1.  Each row is one vector step in k, its float
+    operations in the scalar recursion's order.  A Fraction alpha gives an
+    object array of exact Fractions.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    one = alpha * 0 + 1
-    rows: list = [None, [one]]
+    dtype = float if isinstance(alpha, (int, float)) else object
+    lam = np.zeros((n_max + 1, n_max // 2 + 1), dtype)
+    lam[1, 0] = alpha * 0 + 1
+    ks = np.arange(n_max // 2 + 1).astype(dtype)
     for n in range(1, n_max):
-        prev = rows[n]
-        row = []
-        for k in range((n + 1) // 2 + 1):
-            v = alpha * 0
-            if k < len(prev):
-                v = v + prev[k] * (1 + alpha * 2 * k / n)
-            if 1 <= k <= len(prev):
-                v = v + alpha * (n - 2 * (k - 1)) * prev[k - 1] / n
-            row.append(v)
-        rows.append(row)
-    return rows
+        m, q = n // 2 + 1, (n + 1) // 2 + 1  # lengths of rows n and n + 1
+        lam[n + 1, :m] = lam[n, :m] * (1 + alpha * 2 * ks[:m] / n)
+        lam[n + 1, 1:q] += alpha * (n - 2 * ks[:q - 1]) * lam[n, :q - 1] / n
+    return lam
 
 
 @dataclass
@@ -162,10 +161,7 @@ def lambda_table(alpha: float, n_max: int) -> LambdaTable:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if n_max > N_CAP:
         raise ValueError(f"n_max {n_max} exceeds the supported cap {N_CAP}")
-    rows = lambda_rows(float(alpha), n_max)
-    linear = np.zeros((n_max + 1, n_max // 2 + 1))
-    for n in range(1, n_max + 1):
-        linear[n, : len(rows[n])] = rows[n]
+    linear = lambda_rows(float(alpha), n_max)
     if alpha > 0:
         n, k = _entries(n_max)
         tiny = linear[n, k] < np.finfo(float).tiny
@@ -184,7 +180,7 @@ def lambda_table(alpha: float, n_max: int) -> LambdaTable:
 @dataclass
 class LambdaBounds:
     """The two-sided bound at every entry of a table, one slot per (n, k)
-    in ``_entries`` order; a slack >= -tol means that side holds."""
+    in ``_entries`` order; a slack >= -BOUND_TOL means that side holds."""
 
     n: np.ndarray
     k: np.ndarray
@@ -195,7 +191,7 @@ class LambdaBounds:
     passed: np.ndarray
 
 
-def lambda_bounds(table: LambdaTable, tol: float = 1e-12) -> LambdaBounds:
+def lambda_bounds(table: LambdaTable) -> LambdaBounds:
     """Check the two-sided coefficient bound at every entry, in log domain.
 
     The bound sandwiches lam_{n,k} between binom(n,2k) alpha^k scaled down by
@@ -218,21 +214,21 @@ def lambda_bounds(table: LambdaTable, tol: float = 1e-12) -> LambdaBounds:
         slack_lower, slack_upper = lv - lower, upper - lv
     vanish = (lv == -np.inf) & (upper == -np.inf)
     slack_lower[vanish] = slack_upper[vanish] = 0.0
-    passed = (slack_lower >= -tol) & (slack_upper >= -tol)
+    passed = (slack_lower >= -BOUND_TOL) & (slack_upper >= -BOUND_TOL)
     return LambdaBounds(n, k, lower, upper, slack_lower, slack_upper, passed)
 
 
 def basis_eval(table, n: int, x):
     """Evaluate R_n from coefficient rows in the signed two-term basis.
 
-    Accepts a LambdaTable or raw rows from ``lambda_rows``; with Fraction
+    Accepts a LambdaTable or the array from ``lambda_rows``; with Fraction
     rows and a Fraction x the result is exact.  Alternating signs make this
     numerically useless in doubles at large n; prefer ``eval_stable`` there.
     """
     if isinstance(table, LambdaTable):
         row = [table.value(n, k) for k in range(n // 2 + 1)]
     else:
-        row = table[n]
+        row = table[n, : n // 2 + 1]
     t = 1 - x * x
     acc = x * 0
     for k in range(len(row) - 1, -1, -1):
@@ -248,7 +244,7 @@ def signed_position_law(alpha: float, n: int) -> np.ndarray:
     The walk is Markov in (position, step count): from position s after m
     steps the next step is +1 with probability (1 + alpha s / m) / 2.  Valid
     for alpha in [-1, 1]; every update is a convex combination, so the law
-    is exact to rounding.  The returned array must not be mutated.
+    is exact to rounding.  The cached array is shared, so it is read-only.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -259,6 +255,7 @@ def signed_position_law(alpha: float, n: int) -> np.ndarray:
     s = np.arange(-n, n + 1, dtype=float)
     for m in range(1, n):
         law = _position_step(law, s, alpha, m)
+    law.flags.writeable = False
     return law
 
 
@@ -299,8 +296,7 @@ def z2_return_gap(alpha: float, n: int) -> float:
         raise ValueError("need n >= 1")
     if n % 2 == 1:
         return 0.0
-    rows = lambda_rows(float(alpha), n)
-    return float(rows[n][n // 2])
+    return float(lambda_rows(float(alpha), n)[n, n // 2])
 
 
 def z2_return_gap_bounds(alpha: float, n: int) -> tuple:

@@ -186,6 +186,9 @@ def ball_curve(config: SrrwConfig, n_list, radius: float, trials: int,
     """P(|S_n| < radius) estimates at each horizon, Euclidean norm."""
     if not isinstance(config.group, (IntegerLatticeZd, EuclideanRd)):
         raise ValueError("ball estimates need coordinate positions")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"ball radius must be finite and positive, got "
+                         f"{radius} (--ball-r)")
     return _curve(config, "ball", radius, n_list,
                   lambda pos: math.sqrt(sum(x * x for x in pos)) < radius, 62,
                   trials, seed, threads)

@@ -178,7 +178,11 @@ def bottleneck(group: Group, mu: StepDistribution, A) -> float:
     return out / len(A)
 
 
-def enumerate_group(group: Group, cap: int = 100_000) -> list:
+# Most elements ``enumerate_group`` lists, and most sets ``connected_sets``.
+GROUP_CAP, SETS_CAP = 100_000, 2_000_000
+
+
+def enumerate_group(group: Group) -> list:
     """All elements of a finite group, via saturation of generator balls."""
     prev = -1
     radius = 4
@@ -186,22 +190,20 @@ def enumerate_group(group: Group, cap: int = 100_000) -> list:
         ball = bfs_ball(group, radius)
         if len(ball) == prev:
             return list(ball)
-        if len(ball) > cap:
-            raise ValueError(f"group enumeration exceeded cap {cap}")
+        if len(ball) > GROUP_CAP:
+            raise ValueError(f"group enumeration exceeded cap {GROUP_CAP}")
         prev = len(ball)
         radius *= 2
 
 
-def connected_sets(group: Group, moves, r: int, seed_elem=None,
-                   max_sets: int = 2_000_000) -> list:
-    """All connected subsets containing the seed element, sizes 1..r.
+def connected_sets(group: Group, moves, r: int) -> list:
+    """All connected subsets containing the identity, sizes 1..r.
 
     Connectivity is with respect to right moves by ``moves``.  Every subset
     is produced exactly once (standard fixed-root connected-subgraph
     enumeration: each candidate is either taken or permanently excluded).
     """
-    if seed_elem is None:
-        seed_elem = group.identity()
+    e = group.identity()
     results: list = []
 
     def neighbors(x):
@@ -209,8 +211,8 @@ def connected_sets(group: Group, moves, r: int, seed_elem=None,
 
     def extend(S, frontier, excluded):
         results.append(S)
-        if len(results) > max_sets:
-            raise ValueError(f"enumeration exceeded cap {max_sets}")
+        if len(results) > SETS_CAP:
+            raise ValueError(f"enumeration exceeded cap {SETS_CAP}")
         if len(S) == r:
             return
         cand = [v for v in frontier if v not in S and v not in excluded]
@@ -219,7 +221,7 @@ def connected_sets(group: Group, moves, r: int, seed_elem=None,
                                              if y not in S]
             extend(S | {v}, new_frontier, excluded | set(cand[:i]))
 
-    extend(frozenset([seed_elem]), neighbors(seed_elem), frozenset())
+    extend(frozenset([e]), neighbors(e), frozenset())
     return results
 
 

@@ -597,14 +597,18 @@ class ClassFunctionCheck:
         return self.conclusive and self.holds
 
 
-def is_class_function(group: Group, mu: StepDistribution,
-                      orbit_cap: int = 20000) -> ClassFunctionCheck:
+# Most elements the conjugation closure of ``is_class_function`` may reach.
+ORBIT_CAP = 20000
+
+
+def is_class_function(group: Group,
+                      mu: StepDistribution) -> ClassFunctionCheck:
     """Decide whether ``mu`` is constant on conjugacy classes.
 
     Checks ``mu(g^-1 x g) == mu(x)`` for every ``x`` in the closure of the
     support under conjugation by the standard generators; this suffices since
     conjugation by arbitrary elements is generated.  The closure is explored
-    breadth first and capped at ``orbit_cap`` elements, beyond which the
+    breadth first and capped at ``ORBIT_CAP`` elements, beyond which the
     result is reported as inconclusive rather than guessed.
     """
     if mu.is_continuous:
@@ -626,13 +630,13 @@ def is_class_function(group: Group, mu: StepDistribution,
                                           witness=(x, g, y))
             if y not in seen:
                 seen.add(y)
-                if len(seen) > orbit_cap:
+                if len(seen) > ORBIT_CAP:
                     return ClassFunctionCheck(conclusive=False, holds=False)
                 frontier.append(y)
     return ClassFunctionCheck(conclusive=True, holds=True)
 
 
-def bfs_ball(group: Group, radius: int, generators=None) -> dict:
+def bfs_ball(group: Group, radius: int) -> dict:
     """Map ``element -> distance`` for the ball around e.
 
     Plain breadth-first search over the Cayley graph; intended as a
@@ -640,7 +644,7 @@ def bfs_ball(group: Group, radius: int, generators=None) -> dict:
     balls.  Raises ``ValueError`` if the ball grows past ten million
     elements.
     """
-    gens = list(generators) if generators is not None else group.generators()
+    gens = group.generators()
     e = group.identity()
     ball = {e: 0}
     frontier = [e]

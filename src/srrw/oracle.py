@@ -25,10 +25,11 @@ from itertools import accumulate
 import numpy as np
 
 from .groups import Group, StepDistribution
-from .sampler import HistoryDependent, SrrwConfig, WalkTrace
+from .sampler import HistoryDependent, SrrwConfig, WalkTrace, step_law
 
-# Most (past, position) states one layer of the exact chain may hold.
-STATE_CAP = 1 << 18
+# Most (past, position) states one layer of the exact chain may hold, and
+# the largest n the isolated-count brute force enumerates.
+STATE_CAP, BRUTE_CAP = 1 << 18, 8
 
 
 class _MassMap:
@@ -115,11 +116,9 @@ def exact_distribution(config: SrrwConfig, n: int,
         raise ValueError("exact law needs an enumerable transform")
     if n < 1:
         raise ValueError("need n >= 1")
-    g, mu, tf = config.group, config.mu, config.transform
-    alpha = Fraction(config.alpha) if exact else config.alpha
+    g = config.group
     one = Fraction(1) if exact else 1.0
-    mu_atoms = [(e, Fraction(w) if exact else w) for e, w in mu.support]
-    by_sequence = isinstance(tf, HistoryDependent)
+    by_sequence = isinstance(config.transform, HistoryDependent)
     values: list = []  # a multiset past counts step values by code
     codes: dict = {}
 
@@ -139,16 +138,10 @@ def exact_distribution(config: SrrwConfig, n: int,
 
     layer = {(): {g.identity(): one}}  # past -> position -> mass
     for j in range(1, n + 1):
-        fresh = one - alpha if j > 1 else one
         nxt, size = {}, 0  # size: states in nxt
         for past, at in layer.items():
-            law = {e: fresh * w for e, w in mu_atoms} if fresh > 0 else {}
-            if j > 1 and alpha > 0:
-                history = _trace(g, past) if by_sequence else None
-                for x, k in replays(past):
-                    for y, pw in tf.push_point(g, mu, j, x, history=history):
-                        pw = Fraction(pw) if exact else pw
-                        law[y] = law.get(y, 0) + alpha * k * pw / (j - 1)
+            history = _trace(g, past) if by_sequence else None
+            law = step_law(config, j, replays(past), history, exact)
             for y, q in law.items():
                 if q <= 0:
                     continue
@@ -283,15 +276,15 @@ def isolated_log_laws(alpha, n_max: int):
         yield j + 1, law(cur, j + 1)
 
 
-def isolated_distribution_bruteforce(alpha, n: int, cap: int = 8) -> dict:
+def isolated_distribution_bruteforce(alpha, n: int) -> dict:
     """Certifying oracle for the isolated-count law: enumerate every
     attachment vector and retention pattern.  Factorially expensive; capped."""
     from itertools import product
 
     from .forest import PercolatedForest, clusters
 
-    if n > cap:
-        raise ValueError(f"brute force capped at n = {cap}")
+    if n > BRUTE_CAP:
+        raise ValueError(f"brute force capped at n = {BRUTE_CAP}")
     if n == 1:
         return {1: 1.0}
     a = float(alpha)

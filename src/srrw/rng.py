@@ -26,11 +26,9 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
 
 
-def as_generator(seed_or_rng, *path: int) -> np.random.Generator:
-    """Pass through an existing Generator, or derive one from an integer seed
-    or a tuple of integers naming a stream."""
+def as_generator(seed_or_rng) -> np.random.Generator:
+    """Pass through an existing Generator, or derive one from an integer
+    seed."""
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    if isinstance(seed_or_rng, tuple):
-        return stream(*seed_or_rng, *path)
-    return stream(seed_or_rng, *path)
+    return stream(seed_or_rng)

@@ -14,7 +14,9 @@ d-letter alphabet (identity transform for p >= 1/d, cyclic rotation below).
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -207,50 +209,41 @@ class EchoLawLinear(Transform):
 class ErwRotation(Transform):
     """Replace a support element by a uniform pick among the other d-1.
 
-    Realized as a power of the cyclic shift on the indexed support, with the
+    Realized as a power of the cyclic shift on mu's support, with the
     exponent uniform on 1..d-1; this is the low-memory branch of the elephant
-    walk embedding.
+    walk embedding.  The alphabet is that of the mu each call is handed, and
+    ``d``, when given, only checks its size.
     """
 
     def __init__(self, d: int | None = None):
         self.d = d
-        self._index = None
-        self._alphabet = None
 
     def validate(self, group, mu):
         if mu.is_continuous:
             raise ValueError("rotation transform needs a finite support")
         d = len(mu.support)
-        if self.d is None:
-            self.d = d
-        if self.d != d:
+        if self.d not in (None, d):
             raise ValueError(f"rotation arity {self.d} != support size {d}")
-        if self.d < 2:
+        if d < 2:
             raise ValueError("rotation needs at least two support elements")
-        self._alphabet = [e for e, _ in mu.support]
-        self._index = {e: i for i, e in enumerate(self._alphabet)}
         return self
 
-    def _idx(self, group, mu, x):
-        if self._index is None:
-            self.validate(group, mu)
-        i = self._index.get(x)
-        if i is None:
+    @staticmethod
+    def _others(mu, x):
+        """mu's other atoms, in cyclic order from the one after x."""
+        atoms = [e for e, _ in mu.support]
+        if x not in atoms:
             raise ValueError(f"step {x!r} outside the transform alphabet")
-        return i
+        i = atoms.index(x)
+        return atoms[i + 1:] + atoms[:i]
 
     def apply(self, group, mu, j, x, rng, history=None):
-        i = self._idx(group, mu, x)
-        shift = int(rng.integers(1, self.d))
-        return self._alphabet[(i + shift) % self.d]
+        others = self._others(mu, x)
+        return others[int(rng.integers(1, len(others) + 1)) - 1]
 
     def push_point(self, group, mu, j, x, history=None):
-        i = self._idx(group, mu, x)
-        w = 1.0 / (self.d - 1)
-        return [(self._alphabet[(i + s) % self.d], w) for s in range(1, self.d)]
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.d == other.d
+        others = self._others(mu, x)
+        return [(y, 1.0 / len(others)) for y in others]
 
     def __repr__(self):
         return f"ErwRotation({self.d})"
@@ -290,10 +283,10 @@ class HistoryDependent(Transform):
         return [(self._resolve(self.fn(j, history, None), x), 1.0)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SrrwConfig:
     """A reinforced-walk specification: group, reinforcement strength, step
-    distribution, and step transformation.
+    distribution, and step transformation; frozen once validated.
 
     ``alpha`` may be 1 (every step after the first is a reinforcement, as in
     the zero-memory elephant embedding); the decay results verified elsewhere
@@ -404,35 +397,43 @@ def erw_config(d: int, p: float, group: Group | None = None,
     return SrrwConfig(group=group, alpha=alpha, mu=mu, transform=transform)
 
 
+def step_law(config: SrrwConfig, j: int, replays, history=None,
+             exact: bool = False) -> dict:
+    """The law of step j, {element: weight}, zero weights included.
+
+    Step j is a fresh mu-draw with weight 1 - alpha (1 at j = 1), and
+    replays each (step, count) pair of ``replays`` with weight
+    alpha count / (j - 1), through the transform, which sees ``history``.
+    ``exact=True`` gives Fractions of the exact binary float values.
+    """
+    num = Fraction if exact else float
+    g, mu, alpha = config.group, config.mu, num(config.alpha)
+    fresh = num(1) - alpha if j > 1 else num(1)
+    law = {e: fresh * num(w) for e, w in mu.support} if fresh > 0 else {}
+    if j > 1 and alpha > 0:
+        for x, k in replays:
+            for y, pw in config.transform.push_point(g, mu, j, x,
+                                                     history=history):
+                law[y] = law.get(y, 0) + alpha * k * num(pw) / (j - 1)
+    return law
+
+
 def next_step_distribution(config: SrrwConfig, history) -> StepDistribution:
     """Exact conditional law of the next step given a walk prefix.
 
     With n past steps the law is (1 - alpha) mu plus alpha/n times the
-    transformed law of each past step.  Needs a finite-support mu and an
-    enumerable transformation.
+    transformed law of each past step (``step_law``).  Needs a
+    finite-support mu and an enumerable transformation.
     """
     if config.mu.is_continuous:
         raise ValueError("exact one-step law needs a finite-support mu")
     if not config.transform.enumerable:
         raise ValueError("exact one-step law needs an enumerable transform")
     steps = history.steps if isinstance(history, WalkTrace) else list(history)
-    n = len(steps)
-    if n == 0:
+    if not steps:
         return config.mu
-    g, mu, alpha = config.group, config.mu, config.alpha
-    law: dict = {}
-
-    def add(elem, w):
-        if w:
-            law[elem] = law.get(elem, 0) + w
-
-    for elem, w in mu.support:
-        add(elem, (1 - alpha) * w)
-    for x in steps:
-        for elem, w in config.transform.push_point(g, mu, n + 1, x,
-                                                   history=history):
-            add(elem, alpha / n * w)
-    return StepDistribution(support=list(law.items()))
+    law = step_law(config, len(steps) + 1, Counter(steps).items(), history)
+    return StepDistribution(support=[(e, w) for e, w in law.items() if w > 0])
 
 
 def transform_from_literal(text: str) -> Transform:

@@ -248,8 +248,14 @@ def test_refused_simulate_inputs_exit_with_an_error(capsys):
     ball_on_words = ["simulate", "--group", "tree:3", "--alpha", "0.5",
                      "--mu", "letters", "--n", "4", "--trials", "10",
                      "--ball-r", "2", "--seed", "1"]
+    # a radius that is not finite and positive, on the engine (gaussian)
+    # and the per-trial (sphere) route
+    bad_radii = [["simulate", "--group", "rd:2", "--alpha", "0.5", "--mu", mu,
+                  "--n", "4", "--trials", "2000", "--ball-r", r, "--seed", "3"]
+                 for mu in ("gaussian", "sphere") for r in ("-1.5", "nan")]
     for argv, reason in ((over_budget, "bytes of codes per trial"),
-                         (ball_on_words, "coordinate positions")):
+                         (ball_on_words, "coordinate positions"),
+                         *((argv, "--ball-r") for argv in bad_radii)):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: simulate: ") and reason in err

@@ -152,6 +152,52 @@ def test_lambda_table_shape_and_errors():
         lambda_table(1.2, 10)
 
 
+def test_signed_position_law_is_read_only():
+    # the law is cached and shared; a write into it would change every later
+    # evaluation that reads it
+    law = signed_position_law(0.5, 6)
+    with pytest.raises(ValueError, match="read-only"):
+        law *= 2
+    with pytest.raises(ValueError, match="read-only"):
+        law[0] = 1.0
+    assert signed_position_law(0.5, 6).sum() == pytest.approx(1.0)
+    cycle_distribution(0.5, 5, 6)
+
+
+def scalar_lambda_rows(alpha, n_max):
+    """The coefficient recursion one scalar at a time, as lists."""
+    rows = [None, [alpha * 0 + 1]]
+    for n in range(1, n_max):
+        prev, row = rows[n], []
+        for k in range((n + 1) // 2 + 1):
+            v = alpha * 0
+            if k < len(prev):
+                v = v + prev[k] * (1 + alpha * 2 * k / n)
+            if 1 <= k <= len(prev):
+                v = v + alpha * (n - 2 * (k - 1)) * prev[k - 1] / n
+            row.append(v)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 7, 200, 201])
+def test_lambda_rows_equal_the_scalar_recursion(n_max):
+    # same float operations in the same order: equal bit for bit
+    exact = [Fraction(2, 5), Fraction(1)] if n_max < 10 else []
+    for alpha in [i / 10 for i in range(11)] + exact:
+        ref, lam = scalar_lambda_rows(alpha, n_max), lambda_rows(alpha, n_max)
+        assert lam.shape == (n_max + 1, n_max // 2 + 1)
+        assert not lam[0].any()
+        for n in range(1, n_max + 1):
+            row = lam[n, : n // 2 + 1]
+            if isinstance(alpha, Fraction):
+                assert list(row) == ref[n]
+                assert all(isinstance(v, Fraction) for v in row)
+            else:
+                assert row.tobytes() == np.array(ref[n]).tobytes()
+            assert not lam[n, n // 2 + 1:].any()
+
+
 def test_signed_position_law_basics():
     for alpha in (0.0, 0.3, 0.9):
         for n in (1, 2, 5, 40):

@@ -127,6 +127,21 @@ def test_horizons_below_one_are_refused():
             ball_curve(cfg, ns, 2.0, 10, 1)
 
 
+def test_ball_radius_must_be_finite_and_positive():
+    # the engine tests |S|^2 < r^2 and the per-trial loop |S| < r, which
+    # disagree on a negative radius; both routes refuse it first
+    lat = _lazy(IntegerLatticeZd(2))
+    gauss, sphere = (SrrwConfig(group=EuclideanRd(2), alpha=0.5,
+                                mu=StepDistribution(family=f))
+                     for f in ("gaussian", "sphere"))
+    assert estimators._engine(gauss, "ball", 1.5) is not None
+    assert estimators._engine(sphere, "ball", 1.5) is None
+    for cfg in (lat, gauss, sphere):
+        for r in (-1.5, math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError, match="--ball-r"):
+                ball_curve(cfg, [4], r, 100, 3)
+
+
 def _lazy(group):
     return SrrwConfig(group=group, alpha=0.5,
                       mu=StepDistribution.lazy(group))

@@ -18,6 +18,7 @@ from srrw.evolving import (DeterministicStep, KernelSeq, MuStep, bottleneck,
                            set_tree, step_pieces)
 from srrw.forest import PercolatedForest
 from srrw.groups import CycleZL, IntegerLatticeZd, StepDistribution
+from srrw.rng import stream
 from srrw.sampler import SrrwConfig, WalkTrace
 
 Z = IntegerLatticeZd(1)
@@ -144,15 +145,16 @@ def test_edge_boundary_bound():
         assert bottleneck(g, mu, a) == 0.25 * k / len(a)
 
 
-def test_enumerate_group():
+def test_enumerate_group(monkeypatch):
     elems = enumerate_group(CycleZL(8))
     assert sorted(elems) == list(range(8))
+    monkeypatch.setattr(evolving, "GROUP_CAP", 1000)
     with pytest.raises(ValueError):
-        enumerate_group(Z, cap=1000)
+        enumerate_group(Z)
 
 
 def test_connected_sets_on_line():
-    sets = connected_sets(Z, [(1,), (-1,)], 3, seed_elem=(0,))
+    sets = connected_sets(Z, [(1,), (-1,)], 3)
     as_keys = {frozenset(p[0] for p in s) for s in sets}
     assert as_keys == {
         frozenset({0}),
@@ -200,7 +202,7 @@ def test_doob_step_never_empty_and_frequencies():
     counts = {1: 0, 3: 0}
     trials = 4000
     for i in range(trials):
-        w = doob_step(Z, LAZY, {(0,)}, MuStep(), (9, i))
+        w = doob_step(Z, LAZY, {(0,)}, MuStep(), stream(9, i))
         assert w
         counts[len(w)] += 1
     for size, wt in zip((1, 3), weights):

@@ -27,12 +27,8 @@ def test_path_order_matters():
 def test_as_generator_passthrough():
     g = stream(3, 1)
     assert as_generator(g) is g
-    # a tuple names a stream; extra path segments append
-    a = as_generator((3, 1), 5).random(4)
-    b = stream(3, 1, 5).random(4)
-    assert (a == b).all()
-    c = as_generator(3, 1, 5).random(4)
-    assert (a == c).all()
+    # an integer seed names the stream with an empty path
+    assert (as_generator(3).random(4) == stream(3).random(4)).all()
 
 
 def test_negative_and_large_identifiers():

@@ -1,6 +1,7 @@
 """Direct sampler: trace structure, step marginals, transforms, and the
 elephant-walk embedding."""
 
+import dataclasses
 import math
 
 import pytest
@@ -199,6 +200,36 @@ def test_erw_rotation_covers_other_letters():
         tf.push_point(g, mu, 3, (0, 1))  # not a single letter
     with pytest.raises(ValueError):
         ErwRotation(3).validate(g, mu)
+
+
+def test_one_rotation_serves_configs_with_different_alphabets():
+    # the rotation reads its alphabet from the mu it is handed, so building
+    # a second config leaves the first one's law alone
+    g, tf = CycleZL(3), ErwRotation()
+    laws = [StepDistribution.uniform(atoms) for atoms in ([0, 1], [1, 2])]
+    cfgs = [SrrwConfig(group=g, alpha=0.5, mu=mu, transform=tf)
+            for mu in laws]
+    alone = SrrwConfig(group=g, alpha=0.5, mu=laws[0],
+                       transform=ErwRotation())
+    assert (exact_distribution(cfgs[0], 4).mass
+            == exact_distribution(alone, 4).mass)
+    assert dict(tf.push_point(g, laws[0], 2, 1)) == {0: 1.0}
+    assert dict(tf.push_point(g, laws[1], 2, 1)) == {2: 1.0}
+    assert sample_walk(cfgs[0], 8, stream(4)).steps == sample_walk(
+        alone, 8, stream(4)).steps
+    # equality is the constructor's: validation sets nothing
+    assert ErwRotation() != ErwRotation(3)
+    SrrwConfig(group=g, alpha=0.5, mu=PM1, transform=tf)
+    assert tf == ErwRotation() and tf.d is None
+
+
+def test_config_is_frozen():
+    cfg = z3_config(0.5)
+    for name, value in (("alpha", 1.5), ("alpha", -0.5), ("mu", PM1),
+                        ("transform", Negation())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    assert cfg.alpha == 0.5
 
 
 def test_echo_law_validation():

@@ -48,6 +48,9 @@ ARGVS = (
     + [_simulate(g, "pm1") for g in ("z2", "cycle:5")]
     + [_simulate(g, "gens") for g in ("lattice:3", "tree:3", "s3z")]
     + [_simulate("tree:3", "gens", "--transform", "erw_rotation")]
+    # no engine serves a cycle's point query, so this rotation runs per
+    # trial and checks ErwRotation.apply's draws
+    + [_simulate("cycle:5", "lazy", "--transform", "erw_rotation")]
     + [_simulate("lattice:2", "lazy", "--ball-r", "2.5"),
        _simulate("rd:2", "gaussian", "--ball-r", "1.5"),
        _simulate("lattice:1", "gens", "--transform", "negation"),
