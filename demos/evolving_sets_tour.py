@@ -16,6 +16,7 @@ from srrw import (CycleZL, KernelSeq, MuStep, StepDistribution,
                   binomial_estimate, doob_step, fastpaths, iso_profile,
                   martingale_defect, psi, psi_profile, set_tree, step_pieces)
 from srrw.evolving import compose_matrices, enumerate_group, mask_tables
+from srrw.rng import stream
 
 SEED = 1729
 
@@ -39,7 +40,7 @@ def scene_doob(g, mu, steps=12):
     w = {0}
     sizes = [1]
     for j in range(steps):
-        w = doob_step(g, mu, w, MuStep(), (SEED, j))
+        w = doob_step(g, mu, w, MuStep(), stream(SEED, j))
         sizes.append(len(w))
     print(f"\nconditioned set sizes over {steps} steps: {sizes}")
     print("(the conditioned chain never dies; raw evolution would)")

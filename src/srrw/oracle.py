@@ -119,6 +119,7 @@ def exact_distribution(config: SrrwConfig, n: int,
     g = config.group
     one = Fraction(1) if exact else 1.0
     by_sequence = isinstance(config.transform, HistoryDependent)
+    step = step_law(config, exact)
     values: list = []  # a multiset past counts step values by code
     codes: dict = {}
 
@@ -141,7 +142,7 @@ def exact_distribution(config: SrrwConfig, n: int,
         nxt, size = {}, 0  # size: states in nxt
         for past, at in layer.items():
             history = _trace(g, past) if by_sequence else None
-            law = step_law(config, j, replays(past), history, exact)
+            law = step(j, replays(past), history)
             for y, q in law.items():
                 if q <= 0:
                     continue

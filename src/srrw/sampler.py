@@ -229,21 +229,20 @@ class ErwRotation(Transform):
         return self
 
     @staticmethod
-    def _others(mu, x):
-        """mu's other atoms, in cyclic order from the one after x."""
-        atoms = [e for e, _ in mu.support]
-        if x not in atoms:
-            raise ValueError(f"step {x!r} outside the transform alphabet")
-        i = atoms.index(x)
-        return atoms[i + 1:] + atoms[:i]
+    def _index(mu, x):
+        for i, (e, _) in enumerate(mu.support):
+            if e == x:
+                return i
+        raise ValueError(f"step {x!r} outside the transform alphabet")
 
     def apply(self, group, mu, j, x, rng, history=None):
-        others = self._others(mu, x)
-        return others[int(rng.integers(1, len(others) + 1)) - 1]
+        d, i = len(mu.support), self._index(mu, x)
+        return mu.support[(i + int(rng.integers(1, d))) % d][0]
 
     def push_point(self, group, mu, j, x, history=None):
-        others = self._others(mu, x)
-        return [(y, 1.0 / len(others)) for y in others]
+        d, i = len(mu.support), self._index(mu, x)
+        return [(mu.support[(i + s) % d][0], 1.0 / (d - 1))
+                for s in range(1, d)]
 
     def __repr__(self):
         return f"ErwRotation({self.d})"
@@ -397,24 +396,27 @@ def erw_config(d: int, p: float, group: Group | None = None,
     return SrrwConfig(group=group, alpha=alpha, mu=mu, transform=transform)
 
 
-def step_law(config: SrrwConfig, j: int, replays, history=None,
-             exact: bool = False) -> dict:
-    """The law of step j, {element: weight}, zero weights included.
+def step_law(config: SrrwConfig, exact: bool = False):
+    """Step j's law as a function ``law(j, replays, history=None)`` giving
+    {element: weight}, zero weights included: a fresh mu-draw weighted
+    1 - alpha (1 at j = 1), and each (step, count) of ``replays`` replayed
+    with weight alpha count / (j - 1) through the transform, which sees
+    ``history``.  ``exact=True`` gives Fractions of the exact binary float
+    values; alpha and mu's weights are converted once, here."""
+    num = Fraction if exact else (lambda v: v)
+    g, mu, tf = config.group, config.mu, config.transform
+    alpha, one = num(config.alpha), num(1.0)
+    atoms = [(e, num(w)) for e, w in mu.support]
 
-    Step j is a fresh mu-draw with weight 1 - alpha (1 at j = 1), and
-    replays each (step, count) pair of ``replays`` with weight
-    alpha count / (j - 1), through the transform, which sees ``history``.
-    ``exact=True`` gives Fractions of the exact binary float values.
-    """
-    num = Fraction if exact else float
-    g, mu, alpha = config.group, config.mu, num(config.alpha)
-    fresh = num(1) - alpha if j > 1 else num(1)
-    law = {e: fresh * num(w) for e, w in mu.support} if fresh > 0 else {}
-    if j > 1 and alpha > 0:
-        for x, k in replays:
-            for y, pw in config.transform.push_point(g, mu, j, x,
-                                                     history=history):
-                law[y] = law.get(y, 0) + alpha * k * num(pw) / (j - 1)
+    def law(j, replays, history=None):
+        fresh = one - alpha if j > 1 else one
+        out = {e: fresh * w for e, w in atoms} if fresh > 0 else {}
+        if j > 1 and alpha > 0:
+            for x, k in replays:
+                for y, pw in tf.push_point(g, mu, j, x, history=history):
+                    out[y] = out.get(y, 0) + alpha * k * num(pw) / (j - 1)
+        return out
+
     return law
 
 
@@ -432,7 +434,7 @@ def next_step_distribution(config: SrrwConfig, history) -> StepDistribution:
     steps = history.steps if isinstance(history, WalkTrace) else list(history)
     if not steps:
         return config.mu
-    law = step_law(config, len(steps) + 1, Counter(steps).items(), history)
+    law = step_law(config)(len(steps) + 1, Counter(steps).items(), history)
     return StepDistribution(support=[(e, w) for e, w in law.items() if w > 0])
 
 
