@@ -42,14 +42,7 @@ def _engine(config, query, arg=None):
     """
     group, alpha = config.group, config.alpha
     at_e = query == "point" and arg == group.identity()
-    tree, lamp = (isinstance(group, RegularTreeFree),
-                  isinstance(group, LamplighterZ))
-    # the engines' atom orders: the tree's letters; on the lamplighter,
-    # stay, toggle, marker +1, marker -1 (the order StepDistribution.lazy
-    # lists)
-    order = (group.generators() if tree
-             else [group.identity()] + group.generators() if lamp else [])
-    table = config.transform.replay_table(group, config.mu, order)
+    table = config.transform.replay_table(group, config.mu)
     if table is None:
         return None
     sup, replay = table
@@ -60,9 +53,11 @@ def _engine(config, query, arg=None):
     if sup is None:
         return None
     atoms, weights = [g for g, _ in sup], [w for _, w in sup]
-    if tree:
+    if isinstance(group, RegularTreeFree):
+        # the letter stack needs codes in bijection with the d letters
         d = group.d
-        if (not (at_e or query == "escape") or len(sup) != d
+        if (not (at_e or query == "escape")
+                or sorted(atoms) != group.generators()
                 or any(abs(w - 1.0 / d) > 1e-12 for w in weights)):
             return None
         if at_e:
@@ -79,9 +74,10 @@ def _engine(config, query, arg=None):
     if isinstance(group, S3xZ) and query == "point":
         return lambda ns, t, s, th: fastpaths.s3z_target_hits(
             alpha, atoms, weights, ns, arg, t, s, threads=th, replay=replay)
-    if lamp and at_e and len(sup) == len(order):
+    if (isinstance(group, LamplighterZ) and at_e
+            and set(atoms) <= {group.identity(), *group.generators()}):
         return lambda ns, t, s, th: fastpaths.lamplighter_origin_hits(
-            alpha, weights, ns, t, s, threads=th, replay=replay)
+            alpha, atoms, weights, ns, t, s, threads=th, replay=replay)
     if (isinstance(group, CycleZL) and query == "histogram"
             and not (arg and replay)):
         return lambda n, t, s, th: fastpaths.cyclic_histogram(

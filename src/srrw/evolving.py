@@ -34,7 +34,7 @@ from . import rng as rngmod
 from .fastpaths import MAX_SET_POINTS
 from .forest import PercolatedForest, clusters
 from .groups import Group, StepDistribution, bfs_ball
-from .sampler import SrrwConfig, WalkTrace
+from .sampler import SrrwConfig, WalkTrace, pick
 
 
 @dataclass
@@ -296,17 +296,9 @@ def doob_step(group: Group, mu: StepDistribution, W, kernel, rng_seed):
     """
     if not W:
         raise ValueError("empty current set")
-    pieces = step_pieces(group, mu, W, kernel)
-    if len(pieces) == 1:
-        return pieces[0][1]
-    pieces = [(l, a) for l, a in pieces if a]
-    u = rngmod.as_generator(rng_seed).random()
-    acc = 0.0
-    for l, a in pieces:
-        acc += float(l) * len(a) / len(W)
-        if u < acc:
-            return a
-    return pieces[-1][1]
+    return pick(rngmod.as_generator(rng_seed),
+                [(a, float(l) * len(a) / len(W))
+                 for l, a in step_pieces(group, mu, W, kernel) if a])
 
 
 def kernel_matrix(seq: KernelSeq, j: int, elements: list) -> np.ndarray:

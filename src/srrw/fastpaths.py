@@ -536,30 +536,35 @@ def masked_set_walk(step_tables, start_mask: int, n_states: int, trials: int,
     return np.sum(parts, axis=0)
 
 
-def lamplighter_origin_hits(alpha: float, weights, checkpoints, trials: int,
-                            seed: int, threads: int = 1, replay=None) -> dict:
+def lamplighter_origin_hits(alpha: float, atoms, weights, checkpoints,
+                            trials: int, seed: int, threads: int = 1,
+                            replay=None) -> dict:
     """Identity-return counts for the lamplighter walk.
 
-    Atom order is fixed: stay, toggle, marker +1, marker -1 with the given
-    weights.  Lamp states live in a boolean window wide enough for the
-    horizon, so every configuration is tracked exactly.  The window is
-    stored site-major and flat, lamp (site, row) at ``site * m + row``, as
-    the tree's letter stack is, and each row's marker is the flat index of
-    the lamp under it: a step moves it by a multiple of m, and a toggle
-    flips the lamps of the toggling rows with one gather and one scatter.
+    Atoms are distinct lamplighter elements among the identity (stay), the
+    toggle and the marker moves +1 and -1, in any order.  Lamp states live
+    in a boolean window wide enough for the horizon, so every configuration
+    is tracked exactly.  The window is stored site-major and flat, lamp
+    (site, row) at ``site * m + row``, as the tree's letter stack is, and
+    each row's marker is the flat index of the lamp under it: a step moves
+    it by a multiple of m, and a toggle flips the lamps of the toggling rows
+    with one gather and one scatter.
     """
     off = max(int(c) for c in checkpoints)  # marker stays within +-off
+    # the toggle's code, or -1 when no atom toggles
+    toggle = next((c for c, (lit, _) in enumerate(atoms) if lit), -1)
+    steps = np.array([k for _, k in atoms], dtype=np.intp)
 
     def start(m):
         rows = np.arange(m)
         lamps = np.zeros((2 * off + 1) * m, dtype=bool)
         home = off * m + rows
         marker = home.copy()
-        move = np.array([0, 0, m, -m], dtype=np.intp)
+        move = steps * m
 
         def apply(col):
             nonlocal marker
-            lit = marker.compress(col == 1)
+            lit = marker.compress(col == toggle)
             lamps.put(lit, ~lamps.take(lit))
             marker = marker + move.take(col)
 

@@ -124,8 +124,7 @@ def assign_and_assemble(forest: PercolatedForest, config: SrrwConfig,
     g, mu, tf = config.group, config.mu, config.transform
     n = forest.n
     value = [None] * (n + 1)
-    trace = WalkTrace(group=g, steps=[], positions=[g.identity()],
-                      reinforcement_flags=[], picks=[])
+    trace = WalkTrace(group=g, steps=[], positions=[g.identity()])
     for j in range(1, n + 1):
         if forest.retained[j]:
             value[j] = tf.apply(g, mu, j, value[forest.parent[j]], rng,
@@ -134,9 +133,6 @@ def assign_and_assemble(forest: PercolatedForest, config: SrrwConfig,
             value[j] = draw_step(g, mu, rng)
         trace.steps.append(value[j])
         trace.positions.append(g.multiply(trace.positions[-1], value[j]))
-        if j >= 2:
-            trace.reinforcement_flags.append(forest.retained[j])
-            trace.picks.append(forest.parent[j])
     return trace
 
 

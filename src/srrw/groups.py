@@ -461,7 +461,7 @@ _CONTINUOUS_FAMILIES = ("gaussian", "sphere")
 class StepDistribution:
     """A step distribution: finite weighted support, or a continuous family on R^d.
 
-    Finite support is a list of ``(element, weight)`` pairs with positive
+    Finite support is a tuple of ``(element, weight)`` pairs with positive
     weights summing to 1 and pairwise distinct elements.  On R^d the families
     ``gaussian`` (standard normal) and ``sphere`` (uniform on the unit
     sphere) are available instead; a finite law on R^d has atoms.
@@ -472,7 +472,7 @@ class StepDistribution:
             raise ValueError("give exactly one of support / family")
         if family is not None and family not in _CONTINUOUS_FAMILIES:
             raise ValueError(f"unknown continuous family {family!r}")
-        self.support = list(support) if support is not None else None
+        self.support = tuple(support) if support is not None else None
         self.family = family
 
     @property
@@ -488,13 +488,13 @@ class StepDistribution:
         seen = set()
         for elem, w in self.support:
             group.check_element(elem)
-            if w <= 0:
+            if not w > 0:  # NaN fails too
                 raise ValueError(f"weight must be strictly positive, got {w}")
             if elem in seen:
                 raise ValueError(f"duplicate support element {group.format_element(elem)}")
             seen.add(elem)
             total += w
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {total}, not 1")
         return self
 

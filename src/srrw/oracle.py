@@ -4,10 +4,10 @@ Ground truth for everything else.  The walk's next step depends on its past
 only through the multiset of its past steps: step j replays each earlier
 step with weight alpha / (j - 1), through the transform, and is a fresh
 mu-draw with weight 1 - alpha.  So one layered chain over states (past,
-position) gives the endpoint law of every enumerable transform; only a
-``HistoryDependent`` map, which may read the history, keeps the whole step
-sequence as its past.  The forest's isolated-vertex count is a Markov
-chain, run in the log domain.
+position) gives the endpoint law of every transform with an exact law
+(``Transform.push_point``); only a ``HistoryDependent`` map, which may read
+the history, keeps the whole step sequence as its past.  The forest's
+isolated-vertex count is a Markov chain, run in the log domain.
 
 Endpoint masses are summed with compensated summation; an exact-rational
 mode reruns the same chain in Fraction arithmetic (on the exact binary
@@ -20,7 +20,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 
@@ -106,14 +105,14 @@ def exact_distribution(config: SrrwConfig, n: int,
     ``HistoryDependent`` map, which may read the history.  A state moves to
     (past + y, position * y) with y's weight in the next-step law, and
     equal states merge.  A layer holding more than ``STATE_CAP`` states
-    raises ``ValueError``; ``enumeration_count`` counts the last layer's.
+    raises ``ValueError``, as does the first replay through a randomized
+    ``HistoryDependent`` callback, which has no law; ``enumeration_count``
+    counts the last layer's.
     With ``exact=True`` all weights are Fractions built from the exact
     binary values of the float parameters, certifying the float sums.
     """
     if config.mu.is_continuous:
         raise ValueError("exact law needs a finite-support mu")
-    if not config.transform.enumerable:
-        raise ValueError("exact law needs an enumerable transform")
     if n < 1:
         raise ValueError("need n >= 1")
     g = config.group
@@ -141,7 +140,7 @@ def exact_distribution(config: SrrwConfig, n: int,
     for j in range(1, n + 1):
         nxt, size = {}, 0  # size: states in nxt
         for past, at in layer.items():
-            history = _trace(g, past) if by_sequence else None
+            history = WalkTrace.of(g, past) if by_sequence else None
             law = step(j, replays(past), history)
             for y, q in law.items():
                 if q <= 0:
@@ -162,13 +161,6 @@ def exact_distribution(config: SrrwConfig, n: int,
         for x, p in at.items():
             acc.add(x, p)
     return acc.law(n, sum(map(len, layer.values())))
-
-
-def _trace(g: Group, steps: tuple) -> WalkTrace:
-    """The history a ``HistoryDependent`` map reads after ``steps``."""
-    positions = list(accumulate(steps, g.multiply, initial=g.identity()))
-    return WalkTrace(group=g, steps=list(steps), positions=positions,
-                     reinforcement_flags=[], picks=[])
 
 
 # Pivot of a log-sum-exp whose terms are all -inf: every term minus it is

@@ -17,12 +17,29 @@ import ast
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
 from . import rng as rngmod
 from .groups import (Group, IntegerLatticeZd, EuclideanRd, RegularTreeFree,
                      StepDistribution)
+
+
+def pick(rng, pairs):
+    """One draw from a finite law given as ``(value, weight)`` pairs: the
+    first value whose cumulative weight exceeds a uniform, or the last when
+    rounding leaves the total below it.  A law with one outcome draws
+    nothing."""
+    if len(pairs) == 1:
+        return pairs[0][0]
+    r = rng.random()
+    acc = 0.0
+    for x, w in pairs:
+        acc += w
+        if r < acc:
+            return x
+    return pairs[-1][0]
 
 
 def draw_step(group: Group, mu: StepDistribution, rng) -> object:
@@ -32,13 +49,7 @@ def draw_step(group: Group, mu: StepDistribution, rng) -> object:
         if mu.family == "sphere":
             v = v / np.linalg.norm(v)
         return tuple(float(x) for x in v)
-    r = rng.random()
-    acc = 0.0
-    for elem, w in mu.support:
-        acc += w
-        if r < acc:
-            return elem
-    return mu.support[-1][0]
+    return pick(rng, mu.support)
 
 
 # Most atoms a replay table may add to those of the step law.
@@ -48,34 +59,30 @@ TABLE_CAP = 256
 class Transform:
     """A step transformation applied to replayed past steps.
 
-    ``apply`` samples the transformed value; ``push_point`` returns the exact
-    conditional law of the transformed value as ``[(element, weight)]`` pairs,
-    available when ``enumerable``.
+    ``push_point`` defines it: the exact conditional law of the transformed
+    value as ``[(element, weight)]`` pairs.  ``apply`` samples that law and
+    ``replay_table`` tabulates it.
     """
-
-    enumerable = True
 
     def validate(self, group: Group, mu: StepDistribution) -> "Transform":
         return self
 
-    def replay_table(self, group, mu, atoms=()):
+    def replay_table(self, group, mu):
         """Replay on mu as integer codes, from ``push_point``: a pair
         (support, replay), or None when no table represents it.
 
         Code c is atom c of ``support``, a list of (atom, weight) pairs:
-        ``atoms``, then mu's other atoms, then those only a replay reaches,
-        with weight 0.  ``replay`` is a pair (rows, weights): code c replays
-        as ``rows[c][b]``, branch b taken with probability ``weights[b]``;
-        the identity, which keeps every code, has None.  Only the codes mu
-        draws or a replay reaches are pushed; any other atom of ``atoms``
-        is never drawn, and its row keeps it.
+        mu's atoms in its order, then those only a replay reaches, with
+        weight 0.  ``replay`` is a pair (rows, weights): code c replays as
+        ``rows[c][b]``, branch b taken with probability ``weights[b]``; the
+        identity, which keeps every code, has None.
         None for a continuous mu, a closure that adds more than
         ``TABLE_CAP`` atoms to mu's, or branch weights that differ between
         atoms.
         """
         if mu.is_continuous:
             return None
-        atoms = list(atoms)
+        atoms = [x for x, _ in mu.support]
         code = {x: c for c, x in enumerate(atoms)}
 
         def code_of(x):
@@ -84,26 +91,21 @@ class Transform:
                 atoms.append(x)
             return code[x]
 
-        # push only what mu or a replay reaches, lowest code first; replays
-        # may reach new atoms
-        todo = sorted({code_of(x) for x, _ in mu.support})
-        cap, rows, branches = len(atoms) + TABLE_CAP, {}, None
-        while todo and len(atoms) <= cap:
-            c = todo.pop(0)
-            pushed = self.push_point(group, mu, None, atoms[c])
+        # push each atom in code order; replays may reach new atoms
+        cap, rows, branches = len(atoms) + TABLE_CAP, [], None
+        while len(rows) < len(atoms) <= cap:
+            pushed = self.push_point(group, mu, None, atoms[len(rows)])
             if branches not in (None, [w for _, w in pushed]):
                 return None
             branches = [w for _, w in pushed]
-            rows[c] = [code_of(y) for y, _ in pushed]
-            todo = sorted(set(todo) | set(rows[c]) - rows.keys())
+            rows.append([code_of(y) for y, _ in pushed])
         if len(atoms) > cap:
             return None
-        mass = dict(mu.support)
-        rows = [rows.get(c, [c] * len(branches)) for c in range(len(atoms))]
-        return [(x, mass.get(x, 0.0)) for x in atoms], (rows, branches)
+        reached = [(x, 0.0) for x in atoms[len(mu.support):]]
+        return [*mu.support, *reached], (rows, branches)
 
     def apply(self, group, mu, j, x, rng, history=None):
-        raise NotImplementedError
+        return pick(rng, self.push_point(group, mu, j, x, history))
 
     def push_point(self, group, mu, j, x, history=None):
         raise NotImplementedError
@@ -118,14 +120,11 @@ class Transform:
 class Identity(Transform):
     """Replay past steps unchanged."""
 
-    def replay_table(self, group, mu, atoms=()):
+    def replay_table(self, group, mu):
         # a kept code needs no table, and a continuous mu no atoms
         if mu.is_continuous:
             return None, None
-        return super().replay_table(group, mu, atoms)[0], None
-
-    def apply(self, group, mu, j, x, rng, history=None):
-        return x
+        return super().replay_table(group, mu)[0], None
 
     def push_point(self, group, mu, j, x, history=None):
         return [(x, 1.0)]
@@ -133,9 +132,6 @@ class Identity(Transform):
 
 class Negation(Transform):
     """Replay the inverse of the past step (counterbalanced walk)."""
-
-    def apply(self, group, mu, j, x, rng, history=None):
-        return group.inverse(x)
 
     def push_point(self, group, mu, j, x, history=None):
         return [(group.inverse(x), 1.0)]
@@ -148,9 +144,6 @@ class IidSign(Transform):
         if not 0 <= q <= 1:
             raise ValueError(f"q must be in [0, 1], got {q}")
         self.q = q
-
-    def apply(self, group, mu, j, x, rng, history=None):
-        return x if rng.random() < self.q else group.inverse(x)
 
     def push_point(self, group, mu, j, x, history=None):
         return [(x, self.q), (group.inverse(x), 1.0 - self.q)]
@@ -180,24 +173,15 @@ class EchoLawLinear(Transform):
             if isinstance(group, IntegerLatticeZd):
                 if any(not isinstance(v, int) for row in m for v in row):
                     raise ValueError("lattice echo law needs integer matrices")
-            if w <= 0:
+            if not w > 0:  # NaN fails too
                 raise ValueError("echo weights must be positive")
             total += w
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"echo weights sum to {total}, not 1")
         return self
 
     def _apply_matrix(self, m, x):
         return tuple(sum(row[k] * x[k] for k in range(len(x))) for row in m)
-
-    def apply(self, group, mu, j, x, rng, history=None):
-        r = rng.random()
-        acc = 0.0
-        for m, w in self.components:
-            acc += w
-            if r < acc:
-                return self._apply_matrix(m, x)
-        return self._apply_matrix(self.components[-1][0], x)
 
     def push_point(self, group, mu, j, x, history=None):
         return [(self._apply_matrix(m, x), w) for m, w in self.components]
@@ -235,10 +219,6 @@ class ErwRotation(Transform):
                 return i
         raise ValueError(f"step {x!r} outside the transform alphabet")
 
-    def apply(self, group, mu, j, x, rng, history=None):
-        d, i = len(mu.support), self._index(mu, x)
-        return mu.support[(i + int(rng.integers(1, d))) % d][0]
-
     def push_point(self, group, mu, j, x, history=None):
         d, i = len(mu.support), self._index(mu, x)
         return [(mu.support[(i + s) % d][0], 1.0 / (d - 1))
@@ -251,19 +231,18 @@ class ErwRotation(Transform):
 class HistoryDependent(Transform):
     """Transformation chosen by a callback from the step index and the history.
 
-    The callback receives ``(j, history, rng)`` and returns either a dict
-    mapping step values to step values or a one-argument callable; it never
-    sees randomness drawn after step j.  Pass ``deterministic=True`` when the
-    callback ignores ``rng``; only then can the exact one-step law be formed.
+    The callback receives ``(j, history, rng)``, the history being the walk
+    so far as a ``WalkTrace``, and returns either a dict mapping step values
+    to step values or a one-argument callable; it never sees randomness
+    drawn after step j.  Pass ``deterministic=True`` when the callback
+    ignores ``rng``; only then can the exact one-step law be formed, and a
+    randomized callback, which has no law, samples through its own
+    ``apply``.
     """
 
     def __init__(self, fn, deterministic: bool = False):
         self.fn = fn
         self.deterministic = deterministic
-
-    @property
-    def enumerable(self):
-        return self.deterministic
 
     def _resolve(self, mapping, x):
         if callable(mapping):
@@ -273,7 +252,7 @@ class HistoryDependent(Transform):
     def apply(self, group, mu, j, x, rng, history=None):
         return self._resolve(self.fn(j, history, rng), x)
 
-    def replay_table(self, group, mu, atoms=()):
+    def replay_table(self, group, mu):
         return None  # the map may change with the step and the history
 
     def push_point(self, group, mu, j, x, history=None):
@@ -306,14 +285,19 @@ class SrrwConfig:
 
 @dataclass
 class WalkTrace:
-    """A sampled walk: steps X_1..X_n, positions S_0..S_n, and for each step
-    j >= 2 the reinforcement flag and the picked past index u_j in [1, j-1]."""
+    """A walk: steps X_1..X_n and positions S_0..S_n, the history a
+    ``HistoryDependent`` map reads on every route."""
 
     group: Group
     steps: list
     positions: list
-    reinforcement_flags: list
-    picks: list
+
+    @classmethod
+    def of(cls, group: Group, steps) -> "WalkTrace":
+        """The walk that takes ``steps`` from the identity."""
+        positions = list(accumulate(steps, group.multiply,
+                                    initial=group.identity()))
+        return cls(group=group, steps=list(steps), positions=positions)
 
     @property
     def n(self) -> int:
@@ -326,14 +310,10 @@ class WalkTrace:
     def check(self) -> "WalkTrace":
         g = self.group
         assert len(self.positions) == self.n + 1
-        assert len(self.reinforcement_flags) == max(0, self.n - 1)
-        assert len(self.picks) == max(0, self.n - 1)
         assert self.positions[0] == g.identity()
         for j in range(1, self.n + 1):
             prod = g.multiply(self.positions[j - 1], self.steps[j - 1])
             assert prod == self.positions[j]
-        for j, u in zip(range(2, self.n + 1), self.picks):
-            assert 1 <= u <= j - 1
         return self
 
 
@@ -348,13 +328,13 @@ def sample_walk(config: SrrwConfig, n: int, rng_seed) -> WalkTrace:
         raise ValueError("walk length must be >= 1")
     rng = rngmod.as_generator(rng_seed)
     g, mu, tf = config.group, config.mu, config.transform
-    trace = WalkTrace(group=g, steps=[], positions=[g.identity()],
-                      reinforcement_flags=[], picks=[])
+    trace = WalkTrace(group=g, steps=[], positions=[g.identity()])
     x = draw_step(g, mu, rng)
     trace.steps.append(x)
     trace.positions.append(g.multiply(trace.positions[-1], x))
     for j in range(2, n + 1):
         reinforce = rng.random() < config.alpha
+        # drawn on fresh steps too: the seeded walks' draw protocol
         u = int(rng.integers(1, j))
         if reinforce:
             x = tf.apply(g, mu, j, trace.steps[u - 1], rng, history=trace)
@@ -362,8 +342,6 @@ def sample_walk(config: SrrwConfig, n: int, rng_seed) -> WalkTrace:
             x = draw_step(g, mu, rng)
         trace.steps.append(x)
         trace.positions.append(g.multiply(trace.positions[-1], x))
-        trace.reinforcement_flags.append(1 if reinforce else 0)
-        trace.picks.append(u)
     return trace
 
 
@@ -425,16 +403,17 @@ def next_step_distribution(config: SrrwConfig, history) -> StepDistribution:
 
     With n past steps the law is (1 - alpha) mu plus alpha/n times the
     transformed law of each past step (``step_law``).  Needs a
-    finite-support mu and an enumerable transformation.
+    finite-support mu.  ``history`` is a ``WalkTrace`` or the steps of one,
+    and a ``HistoryDependent`` map reads it as a ``WalkTrace`` either way.
     """
     if config.mu.is_continuous:
         raise ValueError("exact one-step law needs a finite-support mu")
-    if not config.transform.enumerable:
-        raise ValueError("exact one-step law needs an enumerable transform")
-    steps = history.steps if isinstance(history, WalkTrace) else list(history)
-    if not steps:
+    if not isinstance(history, WalkTrace):
+        history = WalkTrace.of(config.group, history)
+    if not history.steps:
         return config.mu
-    law = step_law(config)(len(steps) + 1, Counter(steps).items(), history)
+    law = step_law(config)(history.n + 1, Counter(history.steps).items(),
+                           history)
     return StepDistribution(support=[(e, w) for e, w in law.items() if w > 0])
 
 

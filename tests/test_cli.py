@@ -272,6 +272,24 @@ def test_non_finite_rd_atoms_exit_with_an_error(capsys):
     assert err.startswith("error: --mu: ") and "non-finite" in err
 
 
+def test_nan_weights_exit_with_an_error(capsys):
+    # NaN fails every comparison, so a weight check that only looks for
+    # bad values lets it through to a wrong estimate or a traceback
+    mu = '[["1", "nan"], ["4", 0.5]]'
+    cyc = ["--group", "cycle:5", "--alpha", "0.5", "--mu", mu]
+    echo = 'echo:[[[[1,1],[0,1]], "nan"], [[[1,0],[0,1]], 0.5]]'
+    for argv, flag in (
+            (["simulate", *cyc, "--n", "4", "--trials", "1000", "--target",
+              "e", "--seed", "1"], "--mu"),
+            (["exact", *cyc, "--n", "3"], "--mu"),
+            (["simulate", "--group", "lattice:2", "--alpha", "0.5", "--mu",
+              "gens", "--transform", echo, "--n", "4", "--trials", "500",
+              "--target", "e", "--seed", "1"], "--transform")):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err, argv
+
+
 def test_horizons_below_one_exit_with_an_error(capsys):
     sim = ["simulate", "--alpha", "0.5", "--mu", "lazy", "--trials", "10",
            "--target", "e"]

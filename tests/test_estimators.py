@@ -210,7 +210,7 @@ def test_engine_serves_each_matching_config(monkeypatch):
     lamp = _lazy(LamplighterZ())
     assert point_mass_curve(lamp, ns, lamp.group.identity(), trials,
                             seed) == curve(
-        fastpaths.lamplighter_origin_hits(0.5, [0.25] * 4, ns, trials, seed))
+        fastpaths.lamplighter_origin_hits(0.5, *_law(lamp), ns, trials, seed))
     # every transform but the identity replays through the table it builds
     erw = erw_config(3, 0.6)
     trees = [erw_config(3, 0.3), erw] + [
@@ -282,14 +282,18 @@ def test_engine_refuses_what_no_engine_represents():
     sphere = SrrwConfig(group=EuclideanRd(2), alpha=0.5,
                         mu=StepDistribution(family="sphere"))
     refused.append((sphere, "ball", 1.5))
-    # a rotation alphabet short of the engine's first atoms: the stay step
-    # off the lamplighter's generators, letter c off a two-letter tree
+    # a rotation alphabet short of the group's: the lamplighter's
+    # generators at a target off e, two of a tree's three letters
     lamp_gens = erw_config(3, 0.1, group=LamplighterZ())
     refused.append((lamp_gens, "point", (frozenset(), 1)))
     two = SrrwConfig(group=g, alpha=0.5,
                      mu=StepDistribution.uniform([(0,), (1,)]),
                      transform=ErwRotation())
     refused += [(two, "point", ()), (two, "escape", None)]
+    # three atoms on tree:3, but ab is no letter
+    word = SrrwConfig(group=g, alpha=0.5, mu=StepDistribution.uniform(
+        [(0,), (1,), (0, 1)]))
+    refused += [(word, "point", ()), (word, "escape", None)]
     for cfg, query, arg in refused:
         assert estimators._engine(cfg, query, arg) is None, (cfg, query, arg)
 

@@ -219,8 +219,7 @@ def test_kernel_seq_from_forest_tags():
     g, mu = lazy_on(6)
     cfg = SrrwConfig(group=g, alpha=0.5, mu=mu)
     trace = WalkTrace(group=g, steps=[1, 5, 5, 1],
-                      positions=[0, 1, 0, 5, 0],
-                      reinforcement_flags=[0, 1, 0], picks=[1, 2, 1]).check()
+                      positions=[0, 1, 0, 5, 0]).check()
     seq = kernel_seq_from_forest(forest, cfg, trace)
     assert seq.n == 4
     assert isinstance(seq.kernel(1), MuStep)

@@ -165,6 +165,24 @@ def test_lamplighter_engine_vs_exact():
     assert abs(z_score(est, exact_distribution(uniform, 5).prob(e))) < 4
 
 
+def test_lamplighter_engine_reads_its_atoms():
+    # the engine takes mu's atoms in mu's order, so a law listed as t, e,
+    # -1, +1 is served, and agrees in law with the per-trial route
+    g = LamplighterZ()
+    e = g.identity()
+    mu = StepDistribution(support=[
+        ((frozenset([0]), 0), 0.55), (e, 0.15), ((frozenset(), -1), 0.2),
+        ((frozenset(), 1), 0.1)])
+    cfg = SrrwConfig(group=g, alpha=0.4, mu=mu)
+    assert estimators._engine(cfg, "point", e) is not None
+    slow = SrrwConfig(group=g, alpha=0.4, mu=mu, transform=PER_TRIAL)
+    fast = point_mass_curve(cfg, [4, 6], e, 40000, SEED)
+    for (n, f), (_, s) in zip(fast, point_mass_curve(slow, [4, 6], e, 10000,
+                                                      SEED + 1)):
+        assert abs(f.value - s.value) < 4 * math.hypot(f.stderr,
+                                                       s.stderr), n
+
+
 def test_tree_engine_vs_exact():
     # a tree walk is back at e only after an even number of steps, so at
     # odd n the law fixes the count exactly; even n is checked below
@@ -328,6 +346,7 @@ def _engine_calls(n, trials=250):
     disps = np.array([g for g, _ in lazy.mu.support], dtype=np.int64)
     weights = [w for _, w in lazy.mu.support]
     gens = S3xZ().generators()
+    lamp = [a for a, _ in StepDistribution.lazy(LamplighterZ()).support]
     sign = IidSign(0.3).replay_table(lazy.group, lazy.mu)[1]
     rotation = _replay(erw_config(3, 0.1))
     return {
@@ -350,7 +369,7 @@ def _engine_calls(n, trials=250):
             0.5, gens, [1 / len(gens)] * len(gens), [2, n],
             S3xZ().identity(), trials, SEED, th),
         "lamplighter": lambda th: fastpaths.lamplighter_origin_hits(
-            0.4, [0.25] * 4, [2, n], trials, SEED, th),
+            0.4, lamp, [0.25] * 4, [2, n], trials, SEED, th),
     }
 
 
@@ -643,8 +662,7 @@ def _table_cases():
     lamp = SrrwConfig(group=LamplighterZ(), alpha=0.5, mu=StepDistribution(
         support=[((frozenset(), 0), 0.25), ((frozenset([0]), 0), 0.25),
                  ((frozenset(), 1), 0.5)]), transform=Negation())
-    # the rotation on the lamplighter's generators: the engine's stay atom
-    # is neither drawn nor reached, and its row keeps it
+    # the rotation on the lamplighter's generators, with no stay atom
     lamp_gens = erw_config(3, 0.1, group=LamplighterZ())
     return [(z1, 7, [(1,), (3,), (-5,)]), (sign, 5, [(0, 0), (1, -1)]),
             (echo, 6, [(0, 0), (2, 0), (1, 1)]),

@@ -78,8 +78,7 @@ def brute_force(config, n):
             return
         outcomes = []
         if j > 1:
-            history = WalkTrace(group=g, steps=steps, positions=positions,
-                                reinforcement_flags=[], picks=[])
+            history = WalkTrace(group=g, steps=steps, positions=positions)
             for u in range(j - 1):
                 outcomes += [(y, alpha / (j - 1) * Fraction(pw))
                              for y, pw in tf.push_point(g, mu, j, steps[u],
@@ -305,7 +304,7 @@ def test_state_cap_and_validation(monkeypatch):
 
     rnd = SrrwConfig(group=CycleZL(2), alpha=0.5, mu=Z2_MU,
                      transform=HistoryDependent(law, deterministic=False))
-    with pytest.raises(ValueError, match="enumerable"):
+    with pytest.raises(ValueError, match="randomized"):
         exact_distribution(rnd, 3)
 
 

@@ -11,8 +11,8 @@ from srrw.groups import (CycleZL, EuclideanRd, IntegerLatticeZd,
 from srrw.oracle import exact_distribution
 from srrw.rng import stream
 from srrw.sampler import (EchoLawLinear, ErwRotation, HistoryDependent,
-                          Identity, IidSign, Negation, SrrwConfig, erw_config,
-                          next_step_distribution, sample_walk,
+                          Identity, IidSign, Negation, SrrwConfig, WalkTrace,
+                          erw_config, next_step_distribution, sample_walk,
                           transform_from_literal)
 
 PM1 = StepDistribution(support=[(1, 0.5), (2, 0.5)])  # +-1 on Z_3
@@ -51,7 +51,6 @@ def test_alpha_zero_steps_are_iid():
         trace = sample_walk(cfg, n, stream(7, 100, t))
         for j, x in enumerate(trace.steps):
             counts[j] += x == 1
-        assert not any(trace.reinforcement_flags)
     sigma = math.sqrt(0.25 / trials)
     for c in counts:
         assert abs(c / trials - 0.5) <= 3 * sigma
@@ -63,7 +62,6 @@ def test_alpha_one_identity_replays_first_step():
     for t in range(50):
         trace = sample_walk(cfg, 6, stream(8, t))
         assert all(x == trace.steps[0] for x in trace.steps)
-        assert all(trace.reinforcement_flags)
 
 
 def test_return_probability_small_case():
@@ -118,7 +116,8 @@ def test_next_step_distribution_keeps_nearby_reals_apart():
     mu = StepDistribution(support=[((0.2,), 0.5), ((1.7,), 0.5)])
     cfg = SrrwConfig(group=g, alpha=0.5, mu=mu)
     law = next_step_distribution(cfg, [(0.2,), (0.4,)])
-    assert law.support == [((0.2,), 0.5), ((1.7,), 0.25), ((0.4,), 0.25)]
+    assert list(law.support) == [((0.2,), 0.5), ((1.7,), 0.25),
+                                 ((0.4,), 0.25)]
     law.validate(g)
 
 
@@ -152,19 +151,18 @@ def test_erw_config_parameter_map():
 
 
 def test_erw_step_reproduces_memory_parameter():
-    # P(X_j = X_{u_j}) must equal p for the low-memory branch
-    p = 0.2
-    cfg = erw_config(3, p)
-    trials = 20_000
-    repeats = 0
-    total = 0
-    for t in range(trials):
-        trace = sample_walk(cfg, 6, stream(12, t))
-        for j, u in zip(range(2, 7), trace.picks):
-            total += 1
-            repeats += trace.steps[j - 1] == trace.steps[u - 1]
-    sigma = math.sqrt(p * (1 - p) / total)
-    assert abs(repeats / total - p) <= 3 * sigma
+    # the elephant repeats a uniformly recalled step with probability p and
+    # else takes one of the other d - 1 letters: given N_a of n past steps
+    # equal to a, P(next = a) = p N_a / n + (1 - p)(1 - N_a / n) / (d - 1)
+    d = 3
+    past = [(0,), (1,), (0,), (0,), (2,)]
+    for p in (0.2, 0.6):  # the rotation branch, then the identity branch
+        law = dict(next_step_distribution(erw_config(d, p), past).support)
+        for a in RegularTreeFree(d).generators():
+            share = past.count(a) / len(past)
+            assert math.isclose(
+                law[a], p * share + (1 - p) * (1 - share) / (d - 1),
+                rel_tol=1e-12), (p, a)
 
 
 def test_erw_exact_two_step_law():
@@ -223,6 +221,73 @@ def test_one_rotation_serves_configs_with_different_alphabets():
     assert tf == ErwRotation() and tf.d is None
 
 
+# (transform, group, mu, replayed step) for each transform's derived sampler
+def _transform_cases():
+    cyc = CycleZL(5), StepDistribution(support=[(1, 0.5), (4, 0.5)])
+    lat = IntegerLatticeZd(2)
+    gens = lat, StepDistribution.uniform(lat.generators())
+    keep, quarter = ((1, 0), (0, 1)), ((0, -1), (1, 0))
+    tree = RegularTreeFree(4)
+    return {
+        "identity": (Identity(), *cyc, 1),
+        "negation": (Negation(), *cyc, 1),
+        "iid_sign": (IidSign(0.3), *cyc, 1),
+        "echo": (EchoLawLinear([(keep, 0.25), (quarter, 0.75)]), *gens,
+                 (1, 0)),
+        "one-map echo": (EchoLawLinear([(quarter, 1.0)]), *gens, (1, 0)),
+        "rotation": (ErwRotation(4), tree,
+                     StepDistribution.uniform(tree.generators()), (1,)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_transform_cases()))
+def test_apply_samples_push_point(name):
+    # apply draws from the law push_point defines; a law with one outcome
+    # is certain and leaves the generator where it was
+    tf, g, mu, x = _transform_cases()[name]
+    tf.validate(g, mu)
+    law = {}
+    for y, w in tf.push_point(g, mu, 2, x):
+        law[y] = law.get(y, 0.0) + w
+    rng = stream(14, 0)
+    if len(tf.push_point(g, mu, 2, x)) == 1:
+        assert tf.apply(g, mu, 2, x, rng) == next(iter(law))
+        assert rng.random() == stream(14, 0).random()
+        return
+    draws = 20_000
+    seen = {}
+    for _ in range(draws):
+        y = tf.apply(g, mu, 2, x, rng)
+        seen[y] = seen.get(y, 0) + 1
+    assert set(seen) <= set(law)
+    for y, w in law.items():
+        assert abs(seen.get(y, 0) / draws - w) <= 4 * math.sqrt(
+            w * (1 - w) / draws), y
+
+
+def test_walk_history_is_the_same_on_every_route():
+    # the exact chain knows only steps and positions, so a map that read
+    # more would get one law when sampled and another when computed
+    assert [f.name for f in dataclasses.fields(WalkTrace)] == [
+        "group", "steps", "positions"]
+
+
+def test_one_step_law_hands_bare_steps_to_a_map_as_a_walk():
+    # the map inverts replays while the walk sits at 1; given the steps
+    # 1, 4, 1 or their trace, it reads the same position
+    g = CycleZL(5)
+    tf = HistoryDependent(
+        lambda j, h, rng: g.inverse if h.final == 1 else (lambda x: x),
+        deterministic=True)
+    cfg = SrrwConfig(group=g, alpha=0.9, transform=tf,
+                     mu=StepDistribution(support=[(1, 0.8), (4, 0.2)]))
+    trace = WalkTrace.of(g, [1, 4, 1]).check()
+    assert trace.positions == [0, 1, 0, 1]
+    law = next_step_distribution(cfg, [1, 4, 1]).support
+    assert law == next_step_distribution(cfg, trace).support
+    assert math.isclose(dict(law)[4], 0.1 * 0.2 + 0.9 * 2 / 3)
+
+
 def test_config_is_frozen():
     cfg = z3_config(0.5)
     for name, value in (("alpha", 1.5), ("alpha", -0.5), ("mu", PM1),
@@ -247,6 +312,8 @@ def test_echo_law_validation():
         EchoLawLinear([(((0.5, 0), (0, 1)), 1.0)]).validate(g, mu)
     with pytest.raises(ValueError):
         EchoLawLinear([(keep, 1.0)]).validate(CycleZL(4), PM1)
+    with pytest.raises(ValueError, match="positive"):
+        EchoLawLinear([(keep, math.nan), (flip, 0.5)]).validate(g, mu)
 
 
 def test_transform_literal_round_trip():

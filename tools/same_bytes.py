@@ -48,9 +48,13 @@ ARGVS = (
     + [_simulate(g, "pm1") for g in ("z2", "cycle:5")]
     + [_simulate(g, "gens") for g in ("lattice:3", "tree:3", "s3z")]
     + [_simulate("tree:3", "gens", "--transform", "erw_rotation")]
-    # no engine serves a cycle's point query, so this rotation runs per
-    # trial and checks ErwRotation.apply's draws
-    + [_simulate("cycle:5", "lazy", "--transform", "erw_rotation")]
+    # no engine serves a cycle's point query, nor a shear whose orbit
+    # exceeds TABLE_CAP, so these run per trial and check the draws of each
+    # transform's sampler
+    + [_simulate("cycle:5", "lazy", "--transform", tf)
+       for tf in ("erw_rotation", "negation", "iid_sign:0.25")]
+    + [_simulate("lattice:2", "gens", "--transform",
+                 "echo:[[[[1,1],[0,1]],0.5],[[[1,0],[0,1]],0.5]]")]
     + [_simulate("lattice:2", "lazy", "--ball-r", "2.5"),
        _simulate("rd:2", "gaussian", "--ball-r", "1.5"),
        _simulate("lattice:1", "gens", "--transform", "negation"),
