@@ -7,12 +7,13 @@ column operations, one row per trial.  All of them share one replay kernel,
 column moves the positions, and what is counted at a checkpoint.
 
 Draw protocol.  Work is cut into chunks, and chunk c of a run draws every
-number from the stream (seed, tag, c).  Each step j draws exactly one
-uniform per row, ``v = rng.random(m)``, and that v decides the whole step:
+number from the stream (seed, tag, c).  Each step j takes exactly one
+uniform v per row, and that v decides the whole step:
 
 - step 1 is fresh, and its atom comes from v;
-- at step j >= 2, a row with v < alpha replays step ``1 + floor(x)`` with
-  ``x = v / alpha * (j - 1)``, uniform on 1..j-1 given v < alpha; unless
+- at step j >= 2, a row with v < alpha replays step ``1 + past``, where
+  ``past = min(floor(x), j - 2)`` with ``x = v / alpha * (j - 1)`` is
+  uniform on 0..j-2 given v < alpha (``forest._picks``); unless
   replay keeps codes, the replayed code c becomes ``T[c, b]`` of the
   config's replay table (``sampler.Transform.replay_table``), with branch b
   read from x: slot ``floor(x * Q) mod Q`` when every branch weight is a
@@ -26,11 +27,20 @@ uniform per row, ``v = rng.random(m)``, and that v decides the whole step:
 A fresh uniform w picks slot ``floor(w * Q)`` of a Q-slot table when every
 weight is a multiple of 1/Q for a small Q (the lazy lattice has Q = 12, the
 lamplighter Q = 4, a uniform law Q = #atoms), and is inverted through the
-cumulative weights otherwise.  The Gaussian engine ignores w and draws
-``rng.standard_normal`` for its fresh rows only, after v.  At alpha = 0
-nothing is replayed and at alpha = 1 nothing is fresh, so neither edge
-divides by zero.  The forest's attachments (``forest._attachments``) use the
-same rule: one uniform keeps the edge and picks its target.
+cumulative weights otherwise.  At alpha = 0 nothing is replayed and at
+alpha = 1 nothing is fresh, so neither edge divides by zero.  The pick rule
+is written once, in ``forest._picks``, which the forest's attachments
+(``forest._attachments``) also use: one uniform keeps the edge and picks
+its target.
+
+Step 1 draws its m uniforms with ``rng.random(m)``.  Steps 2..n draw theirs
+in blocks: a chunk of m rows draws b = ``_BLOCK`` // m steps, at most 2^13
+uniforms, with one ``rng.random(b * m)``, or one step at a time when b
+would be below 3.  One call of b * m gives the same numbers as b calls of
+m, so the block length moves no count of a finite law.  The Gaussian
+engine ignores w and draws ``rng.standard_normal`` for its fresh rows only:
+step 1's after step 1's uniforms, and a block's fresh rows, in step order,
+after the block's uniforms, so its counts do depend on the block length.
 
 Step codes are stored step-major, (n, m), in the smallest unsigned dtype
 that holds them, and a chunk holds at most ``forest._CODE_BUDGET`` bytes of
@@ -61,6 +71,10 @@ from .groups import S3xZ, _S3_NAMES
 
 # Largest slot table a finite law is looked up in; beyond it, searchsorted.
 _MAX_SLOTS = 1024
+# Uniforms the replay kernel draws at once: a chunk of m rows draws
+# _BLOCK // m steps in one call.  A block of two steps costs about what it
+# saves, so a chunk of more than _BLOCK // 3 rows draws one step at a time.
+_BLOCK = 1 << 13
 
 
 def _chunks(trials: int, chunk: int):
@@ -135,9 +149,11 @@ def _atom_law(weights) -> _Law:
     dtype = _code_dtype(len(w))
     slots = _slots(w.tolist())
     if slots is not None:
-        slots, q = slots.astype(dtype), len(slots)
-        return _Law(lambda rng, u: np.take(slots, (u * q).astype(np.intp),
-                                           mode="clip"), dtype)
+        # u < 1 can round up to floor(u * q) = q: a copy of the last slot
+        # there reads its atom with no clipping; no caller passes u < 0
+        q = len(slots)
+        slots = np.append(slots, slots[-1]).astype(dtype)
+        return _Law(lambda rng, u: slots.take((u * q).astype(np.intp)), dtype)
     cum = _cumulative(w)
     return _Law(lambda rng, u: np.searchsorted(cum, u, side="right")
                 .astype(dtype), dtype)
@@ -172,22 +188,48 @@ def _replay_columns(rng, m: int, n: int, alpha: float, law: _Law, hook=None):
 
     ``hook(past, x)`` transforms the replayed codes, given the position
     x = v / alpha * (j - 1) of each replaying row's pick.
+
+    Steps 2..n run in blocks of b = ``_BLOCK`` // m steps, or of one step
+    when that is below 3.  One ``rng.random(b * m)`` draws a block's
+    uniforms, the numbers b draws of m would give, and whole-block passes
+    find its fresh codes, kept rows and picks.  Only the replay gather, the
+    hook and the scatter go step by step, since a step may replay an
+    earlier step of its own block.
     """
     codes = np.empty((n, m) + law.row, dtype=law.dtype)
     flat = codes.reshape((n * m,) + law.row)
     codes[0] = law.fresh(rng, rng.random(m))
     yield 1, codes[0]
-    for j, v, kept, past in forest._attachments(n, alpha, m, rng):
-        col = codes[j - 1]
+    b = _BLOCK // m
+    if b < 3:
+        b = 1
+    for j0 in range(2, n + 1, b):
+        steps = min(b, n + 1 - j0)
+        v = rng.random(steps * m)
+        block = flat[(j0 - 1) * m:(j0 - 1 + steps) * m]
         new = np.flatnonzero(v >= alpha)
         if new.size:
-            col[new] = law.fresh(rng, (v[new] - alpha) / (1 - alpha))
+            block[new] = law.fresh(rng, (v[new] - alpha) / (1 - alpha))
+        kept = np.flatnonzero(v < alpha)
+        # each kept entry's step and row; kept[ends[s]:ends[s + 1]] are the
+        # entries of step j0 + s
+        at, row, ends = j0, kept, [0, kept.size]
+        if steps > 1:
+            ends = np.searchsorted(kept, np.arange(0, (steps + 1) * m, m))
+            step = np.repeat(np.arange(steps), np.diff(ends))
+            at, row = j0 + step, kept - step * m
+            ends = ends.tolist()
         if kept.size:
-            src = flat[past * m + kept]
-            if hook is not None:
-                src = hook(src, v[kept] * ((j - 1) / alpha))
-            col[kept] = src
-        yield j, col
+            x, src = forest._picks(v[kept], at, alpha)
+            src *= m
+            src += row
+        for j, lo, hi in zip(range(j0, j0 + steps), ends, ends[1:]):
+            if hi > lo:
+                got = flat[src[lo:hi]]
+                if hook is not None:
+                    got = hook(got, x[lo:hi])
+                block[kept[lo:hi]] = got
+            yield j, codes[j - 1]
 
 
 def _replay_sums(law: _Law, alpha: float, checkpoints, start, trials: int,

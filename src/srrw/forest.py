@@ -136,24 +136,38 @@ def assign_and_assemble(forest: PercolatedForest, config: SrrwConfig,
     return trace
 
 
+def _picks(v: np.ndarray, j, alpha: float):
+    """(x, past) for kept uniforms v (each < alpha) at vertices j, an int
+    or an integer array shaped like v.
+
+    x = v / alpha * (j - 1) is uniform on [0, j - 1), and the edge attaches
+    to vertex past + 1, where past = min(floor(x), j - 2) is uniform on
+    0..j-2.  This is the one statement of the pick rule: the forests here
+    and the replay engines (``fastpaths._replay_columns``) both call it.
+    """
+    x = v * ((j - 1) / alpha)
+    past = x.astype(np.intp)
+    np.minimum(past, j - 2, out=past)  # v / alpha can round up to 1
+    return x, past
+
+
 def _attachments(n: int, alpha: float, trials: int, rng):
     """Yield (j, v, kept, past) for vertices j = 2..n of ``trials`` forests
     at once.
 
     One uniform v per forest decides vertex j: its edge is kept iff
-    v < alpha, and a kept edge attaches to vertex past + 1, where
-    past = floor(v / alpha * (j - 1)) is uniform on 0..j-2 given v < alpha.
+    v < alpha, and a kept edge attaches to vertex past + 1 by ``_picks``.
     ``kept`` lists the rows that keep their edge and ``past`` their picks;
     nothing is computed for the other rows.  The replay engines read the
-    same draw as the walk's step j (``fastpaths``).
+    same uniforms as the walk's steps 2..n, drawn several steps at a time
+    for a narrow chunk (``fastpaths``).
     """
     for j in range(2, n + 1):
         v = rng.random(trials)
         kept = np.flatnonzero(v < alpha)
         past = kept
         if kept.size:
-            past = (v[kept] * ((j - 1) / alpha)).astype(np.intp)
-            np.minimum(past, j - 2, out=past)  # v / alpha can round up to 1
+            _, past = _picks(v[kept], j, alpha)
         yield j, v, kept, past
 
 

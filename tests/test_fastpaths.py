@@ -326,7 +326,8 @@ def test_engine_reproducibility_same_seed():
 
 
 class _CountingRng:
-    """A generator that logs the name of every method called on it."""
+    """A generator that logs (method name, result) of every call made on
+    it."""
 
     def __init__(self, rng, log):
         self._rng, self._log = rng, log
@@ -335,8 +336,9 @@ class _CountingRng:
         method = getattr(self._rng, name)
 
         def call(*args, **kwargs):
-            self._log.append(name)
-            return method(*args, **kwargs)
+            out = method(*args, **kwargs)
+            self._log.append((name, out))
+            return out
 
         return call
 
@@ -414,11 +416,12 @@ def test_masked_set_walk_refuses_more_than_sixteen_points(monkeypatch):
 
 def test_every_engine_draws_one_uniform_per_step(monkeypatch):
     # a budget of 40 steps x 100 trials forces chunks of at most 100 rows
-    # (6 rows for the Gaussian engine's 16-byte steps)
-    n = 40
+    # (6 rows for the Gaussian engine's 16-byte steps); per stream, the
+    # uniforms number n per row of its chunk, however many calls draw them
+    n, trials = 40, 250
     monkeypatch.setattr(forest, "_CODE_BUDGET", 100 * n)
     real = rngmod.stream
-    for name, run in _engine_calls(n).items():
+    for name, run in _engine_calls(n, trials).items():
         logs = []
 
         def stream(*key, _logs=logs):
@@ -428,9 +431,23 @@ def test_every_engine_draws_one_uniform_per_step(monkeypatch):
         monkeypatch.setattr(rngmod, "stream", stream)
         run(1)
         assert len(logs) >= 3, name
+        rows = []
         for log in logs:
-            assert log.count("random") == n, name
-            assert set(log) <= {"random", "standard_normal"}, name
+            assert {call for call, _ in log} <= (
+                {"random", "standard_normal"} if name == "gaussian"
+                else {"random"}), name
+            v = np.concatenate([out for call, out in log
+                                if call == "random"])
+            assert v.size % n == 0, name
+            m = v.size // n
+            rows.append(m)
+            # the Gaussian engine's alpha is 1/2: one normal row for each
+            # row of step 1 and each later uniform at or above alpha
+            normals = sum(len(out) for call, out in log
+                          if call == "standard_normal")
+            assert normals == (m + np.count_nonzero(v[m:] >= 0.5)
+                               if name == "gaussian" else 0), name
+        assert rows == _chunks(trials, max(rows)), name
 
 
 def test_over_budget_codes_run_in_smaller_chunks(monkeypatch):
@@ -623,6 +640,56 @@ def test_alpha_edges_give_the_exact_law():
             1: 0, 2: 1000, 3: 0, 4: 1000}
 
 
+def replay_columns_per_step(rng, m, n, alpha, law, hook=None):
+    """The replay kernel as it was before it drew steps in blocks: one
+    ``rng.random(m)`` per step, through ``forest._attachments``."""
+    codes = np.empty((n, m) + law.row, dtype=law.dtype)
+    flat = codes.reshape((n * m,) + law.row)
+    codes[0] = law.fresh(rng, rng.random(m))
+    yield 1, codes[0]
+    for j, v, kept, past in forest._attachments(n, alpha, m, rng):
+        col = codes[j - 1]
+        new = np.flatnonzero(v >= alpha)
+        if new.size:
+            col[new] = law.fresh(rng, (v[new] - alpha) / (1 - alpha))
+        if kept.size:
+            src = flat[past * m + kept]
+            if hook is not None:
+                src = hook(src, v[kept] * ((j - 1) / alpha))
+            col[kept] = src
+        yield j, col
+
+
+# The widest chunk that still draws blocks of three steps or more.
+_EDGE = fastpaths._BLOCK // 3
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("m", [1, _EDGE - 1, _EDGE, _EDGE + 1])
+def test_block_kernel_equals_the_per_step_reference(m, alpha):
+    # every column, as the engine sees it when it is yielded, at horizons
+    # on both sides of a block edge: n = 1, 2, b, b + 1, b + 2 and 2b + 3,
+    # b being the chunk's block length (3 at _EDGE, 1 above it)
+    b = fastpaths._BLOCK // m if m <= _EDGE else 1
+    ns = [1, 2, b, b + 1, b + 2, 2 * b + 3]
+    laws = [fastpaths._atom_law([0.5, 0.25, 1 / 12, 1 / 6]),
+            # no small slot table: codes come from searchsorted
+            fastpaths._atom_law([0.5, 0.3141, 0.1859])]
+    rows = [[(c + 1) % 4, (c + 2) % 4] for c in range(4)]
+    hooks = [None, fastpaths._table_hook(rows, [0.3, 0.7]),
+             fastpaths._table_hook(rows, [0.3141, 0.6859])]
+    for law in laws:
+        for hook in hooks:
+            ref = np.array([col.copy() for _, col in replay_columns_per_step(
+                rngmod.stream(SEED, m), m, max(ns), alpha, law, hook)])
+            for n in ns:
+                got = [(j, col.copy()) for j, col in fastpaths._replay_columns(
+                    rngmod.stream(SEED, m), m, n, alpha, law, hook)]
+                assert [j for j, _ in got] == list(range(1, n + 1))
+                differ = (np.array([c for _, c in got]) != ref[:n]).any(axis=1)
+                assert not differ.any(), (n, np.flatnonzero(differ) + 1)
+
+
 def test_slot_table_and_searchsorted_agree(monkeypatch):
     u = rngmod.stream(SEED, 1).random(100000)
     weights = [0.5, 0.25, 1 / 12, 1 / 6]
@@ -636,6 +703,15 @@ def test_slot_table_and_searchsorted_agree(monkeypatch):
         support=[(0, 0.5), (1, 0.3141), (2, 0.1859)]))
     assert tv_distance(mc_histogram(cfg, 6, 60000, SEED),
                        exact_distribution(cfg, 6)) < 0.01
+
+
+def test_a_fresh_uniform_rounded_up_to_one_reads_the_last_atom():
+    # v < 1 can still give a fresh uniform (v - alpha) / (1 - alpha) of 1.0
+    v = 1 - 2.0 ** -53
+    assert (v - 0.3) / (1 - 0.3) == 1.0
+    for weights in ([0.5, 0.25, 1 / 12, 1 / 6], [0.5, 0.3141, 0.1859]):
+        law = fastpaths._atom_law(weights)
+        assert law.fresh(None, np.array([1.0])).tolist() == [len(weights) - 1]
 
 
 def _table_cases():

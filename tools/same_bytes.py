@@ -27,12 +27,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 1729
 
 
-def _simulate(group, mu, *extra):
+def _simulate(group, mu, *extra, trials=20000):
     """A simulate argv; its objective is ``--target e`` unless ``extra``
     names one."""
     named = "--target" in extra or "--ball-r" in extra
     return ["simulate", "--group", group, "--alpha", "0.5", "--mu", mu,
-            "--n", "4,8,16", "--trials", "20000",
+            "--n", "4,8,16", "--trials", str(trials),
             *([] if named else ["--target", "e"]), "--seed", str(SEED),
             *extra]
 
@@ -63,6 +63,13 @@ ARGVS = (
        _simulate("lattice:2", "lazy", "--transform", "iid_sign:0.25"),
        _simulate("lattice:2", "gens", "--transform",
                  "echo:[[[[0,-1],[1,0]],1.0]]")]
+    # one narrow chunk of 1000 rows, which the engines draw several steps
+    # at a time; every chunk above is too wide for that
+    + [_simulate(g, mu, *extra, trials=1000) for g, mu, extra in (
+        ("lattice:3", "lazy", ()),
+        ("lattice:1", "gens", ("--transform", "negation")),
+        ("tree:3", "gens", ("--transform", "erw_rotation")),
+        ("s3z", "gens", ()), ("lamplighter", "lazy", ()))]
     + [["exact", "--group", g, "--alpha", "0.5", "--mu", "lazy", "--n", "6"]
        for g in ("z2", "cycle:5")]
     # element keys as written: a quoted lattice key, lamplighter keys, and
